@@ -16,7 +16,6 @@ from dcsums import (
     bernoulli_poly,
     euler_number,
     euler_poly,
-    eval_poly,
     format_rational,
     poly_derivative,
     poly_integral,
@@ -38,7 +37,7 @@ for n in range(4):
     print(f"  B_{n}(x) = {bernoulli_poly(n)}")
 
 x = Fraction(1, 3)
-print(f"\nExact evaluation: E_3(1/3) = {format_rational(eval_poly(euler_poly(3), x))}")
+print(f"\nExact evaluation: E_3(1/3) = {format_rational(euler_poly(3).eval(x))}")
 
 print("\nDerivative identity E_n'(x) = n E_(n-1)(x):")
 for n in (3, 7):
@@ -53,7 +52,7 @@ for n in (0, 1, 3):
 print("\nGenerating-series oracle vs recurrence path, n <= 12 at x = 0 and x = 1/3:")
 for x in (Fraction(0), Fraction(1, 3)):
     oracle = series_coeffs_oracle(12, "euler", x)
-    assert all(oracle[n] == eval_poly(euler_poly(n), x) for n in range(13))
+    assert all(oracle[n] == euler_poly(n).eval(x) for n in range(13))
     print(f"  agree at x = {format_rational(x)}")
 
 print("\nAll identities above checked exactly (no floating point anywhere).")

@@ -13,7 +13,6 @@ from dcsums import (
     dc_sum,
     euler_number,
     euler_poly,
-    eval_poly,
     format_rational,
     theorem9_rhs,
     umbral_power,
@@ -28,7 +27,7 @@ print("\nA shifted umbra is the Euler polynomial, (E + x)^n = E_n(x):")
 x = Fraction(1, 3)
 for n in (1, 3):
     value = umbral_power([(1, x, 0)], n)
-    assert value == eval_poly(euler_poly(n), x)
+    assert value == euler_poly(n).eval(x)
     print(f"  (E + 1/3)^{n} = {format_rational(value)}")
 
 print("\nTwo independent umbrae expand binomially:")

@@ -6,93 +6,24 @@ No floating point anywhere: every value is an arbitrary-precision integer
 or a canonical fraction, so residuals compare bit-exactly across runs.
 """
 
-from .appell import (
-    Poly,
-    SequenceCache,
-    bernoulli_number,
-    bernoulli_poly,
-    euler_number,
-    euler_poly,
-    eval_poly,
-    poly_derivative,
-    poly_integral,
-    series_coeffs_oracle,
-)
-from .audit import (
-    REGISTRY,
-    AuditReport,
-    CheckResult,
-    IdentityCheck,
-    ParamGrid,
-    get_check,
-    registry_ids,
-    run_check,
-    standard_audit_grid,
-    sweep,
-)
-from .periodic import bernoulli_function, euler_function, floor_frac, sawtooth
-from .rationals import Rational, binomial, format_rational, parse_rational, rat_pow
-from .reporting import (
-    format_report_text,
-    report_from_json,
-    report_to_csv,
-    report_to_json,
-)
-from .sums import (
-    alt_power_sum,
-    dc_sum,
-    dedekind_sum,
-    gen_dedekind_sum,
-    lattice_partition,
-    restricted_lattice_sum,
-    theorem8_rhs,
-)
-from .umbral import UmbralTerm, theorem9_rhs, umbral_power
+from . import appell, audit, periodic, rationals, reporting, sums, umbral
+from .appell import *
+from .audit import *
+from .periodic import *
+from .rationals import *
+from .reporting import *
+from .sums import *
+from .umbral import *
 
 __version__ = "0.1.0"
 
+# Each public name is declared once, in the __all__ of its own module.
 __all__ = [
-    "Rational",
-    "binomial",
-    "rat_pow",
-    "format_rational",
-    "parse_rational",
-    "Poly",
-    "SequenceCache",
-    "euler_number",
-    "bernoulli_number",
-    "euler_poly",
-    "bernoulli_poly",
-    "eval_poly",
-    "poly_derivative",
-    "poly_integral",
-    "series_coeffs_oracle",
-    "floor_frac",
-    "sawtooth",
-    "bernoulli_function",
-    "euler_function",
-    "dedekind_sum",
-    "gen_dedekind_sum",
-    "dc_sum",
-    "alt_power_sum",
-    "theorem8_rhs",
-    "restricted_lattice_sum",
-    "lattice_partition",
-    "UmbralTerm",
-    "umbral_power",
-    "theorem9_rhs",
-    "IdentityCheck",
-    "CheckResult",
-    "AuditReport",
-    "ParamGrid",
-    "REGISTRY",
-    "registry_ids",
-    "get_check",
-    "run_check",
-    "sweep",
-    "standard_audit_grid",
-    "report_to_json",
-    "report_from_json",
-    "report_to_csv",
-    "format_report_text",
+    *rationals.__all__,
+    *appell.__all__,
+    *periodic.__all__,
+    *sums.__all__,
+    *umbral.__all__,
+    *audit.__all__,
+    *reporting.__all__,
 ]

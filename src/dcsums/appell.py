@@ -25,12 +25,10 @@ from .rationals import Rational, binomial, format_rational
 
 __all__ = [
     "Poly",
-    "SequenceCache",
     "euler_number",
     "bernoulli_number",
     "euler_poly",
     "bernoulli_poly",
-    "eval_poly",
     "poly_derivative",
     "poly_integral",
     "series_coeffs_oracle",
@@ -145,10 +143,6 @@ class SequenceCache:
                 self._values.append(self._rule(self._values))
             return self._values[n]
 
-    def known(self) -> int:
-        """Number of cached entries (for tests of prefix stability)."""
-        return len(self._values)
-
 
 def _next_euler(values: list[Fraction]) -> Fraction:
     n = len(values)
@@ -204,11 +198,6 @@ def bernoulli_poly(n: int) -> Poly:
     for k in range(n + 1):
         coeffs[n - k] = binomial(n, k) * bernoulli_number(k)
     return Poly(coeffs)
-
-
-def eval_poly(p: Poly, x: Rational | int) -> Rational:
-    """Exact value p(x) for rational x."""
-    return p.eval(x)
 
 
 def poly_derivative(p: Poly) -> Poly:

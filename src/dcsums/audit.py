@@ -16,14 +16,12 @@ become ``skipped`` entries rather than failures, keeping grids rectangular.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .appell import Poly, euler_number, euler_poly, eval_poly, poly_integral
-from .periodic import euler_function
+from .appell import Poly, euler_number, euler_poly, poly_integral
 from .rationals import Rational, binomial
 from .sums import alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
 from .umbral import theorem9_rhs
@@ -574,28 +572,21 @@ def run_check(check_id: str, params: Mapping[str, int]) -> CheckResult:
     return _evaluate(check, params)
 
 
-def sweep(
-    ids: Sequence[str],
-    grid: ParamGrid,
-    max_workers: int | None = None,
-) -> AuditReport:
+def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     """Evaluate every (id, tuple) over the grid into a deterministic report.
 
     Results are ordered lexicographically by (id, params); the per-id
-    summary tallies pass/fail/skip.  Evaluations are independent, so a
-    worker pool may fan them out; assembly is an ordered reduce either way.
+    summary tallies pass/fail/skip.  A repeated id raises ValueError, since
+    it would evaluate each of its tuples twice and double its tallies.
     """
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate check ids in {list(ids)}")
     checks = [get_check(check_id) for check_id in ids]
-    jobs = [
-        (check, params)
+    results = [
+        _evaluate(check, params)
         for check in checks
         for params in grid.iter_params(check.param_names)
     ]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda job: _evaluate(*job), jobs))
-    else:
-        results = [_evaluate(check, params) for check, params in jobs]
     results.sort(key=lambda r: (r.id, tuple(r.params.values())))
     summary: dict[str, dict[str, int]] = {
         check.id: {"pass": 0, "fail": 0, "skip": 0} for check in checks

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import re
 import sys
 
@@ -22,7 +21,7 @@ from .reporting import format_report_text, report_to_csv, report_to_json
 from .sums import dc_sum, dedekind_sum, gen_dedekind_sum
 from .umbral import theorem9_rhs, umbral_power
 
-__all__ = ["main", "console_main", "build_parser", "format_rational"]
+__all__ = ["main", "console_main", "build_parser"]
 
 
 def _nonneg(text: str) -> int:
@@ -175,19 +174,13 @@ def _cmd_umbral(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get("DCSUM_THREADS", "").strip()
-    if not raw:
-        return None
-    count = int(raw)
-    return count if count > 0 else None
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.checks is None:
         ids = registry_ids()
     else:
         ids = [part.strip() for part in args.checks.split(",") if part.strip()]
+        if not ids:
+            raise ValueError("no checks selected")
     grid = ParamGrid.from_maxima(
         pmax=args.pmax,
         hmax=args.hmax,
@@ -201,7 +194,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     if args.p is not None:
         grid = dataclasses.replace(grid, p_values=(args.p,))
-    report = sweep(ids, grid, max_workers=_worker_count())
+    report = sweep(ids, grid)
     if args.format == "json":
         payload = report_to_json(report)
     elif args.format == "csv":
@@ -231,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: canonical rationals, binomials, integer powers.
+"""Exact scalar arithmetic: canonical rationals, binomials, text encoding.
 
 The universal scalar is ``fractions.Fraction``, which maintains exactly the
 canonical form the rest of the package relies on: positive denominator,
@@ -16,7 +16,6 @@ from fractions import Fraction
 __all__ = [
     "Rational",
     "binomial",
-    "rat_pow",
     "format_rational",
     "parse_rational",
 ]
@@ -37,18 +36,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binomial expects nonnegative arguments, got ({n}, {k})")
     return math.comb(n, k)
-
-
-def rat_pow(q: Rational | int, e: int) -> Rational:
-    """Exact q**e for integer e >= 0, with the convention 0**0 = 1.
-
-    The 0**0 = 1 reading makes the u = 0 / v = 0 terms of the alternating
-    power sums well defined and matches the empty-product view of the
-    generating functions.
-    """
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    return Fraction(q) ** e
 
 
 def format_rational(q: Rational | int) -> str:

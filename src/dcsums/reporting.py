@@ -21,7 +21,6 @@ __all__ = [
     "report_from_json",
     "report_to_csv",
     "format_report_text",
-    "CSV_COLUMNS",
 ]
 
 CSV_COLUMNS = ("id", *PARAM_NAMES, "lhs", "rhs", "residual", "holds", "skipped")
@@ -31,8 +30,8 @@ def _fmt(value) -> str | None:
     return None if value is None else format_rational(value)
 
 
-def report_to_json_dict(report: AuditReport) -> dict:
-    return {
+def report_to_json(report: AuditReport) -> str:
+    data = {
         "grid": report.grid,
         "results": [
             {
@@ -48,10 +47,7 @@ def report_to_json_dict(report: AuditReport) -> dict:
         ],
         "summary": report.summary,
     }
-
-
-def report_to_json(report: AuditReport) -> str:
-    return json.dumps(report_to_json_dict(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def report_from_json(text: str) -> AuditReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .appell import euler_number, euler_poly
+from .appell import euler_poly
 from .periodic import bernoulli_function, euler_function, sawtooth
 from .rationals import Rational
 

@@ -13,7 +13,6 @@ is no defined semantics for adding two shifted copies of one umbra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -21,27 +20,12 @@ from typing import Iterable, Iterator, Sequence
 from .appell import euler_number, euler_poly
 from .rationals import Rational
 
-__all__ = ["UmbralTerm", "umbral_power", "theorem9_rhs"]
+__all__ = ["umbral_power", "theorem9_rhs"]
 
 
-@dataclass(frozen=True)
-class UmbralTerm:
-    """One summand a * (E + shift) of an umbral linear form."""
-
-    coeff: Rational
-    shift: Rational
-    umbra: int
-
-
-def _as_terms(terms: Iterable[UmbralTerm | tuple]) -> list[UmbralTerm]:
-    out: list[UmbralTerm] = []
-    for t in terms:
-        if isinstance(t, UmbralTerm):
-            out.append(UmbralTerm(Fraction(t.coeff), Fraction(t.shift), t.umbra))
-        else:
-            coeff, shift, umbra = t
-            out.append(UmbralTerm(Fraction(coeff), Fraction(shift), umbra))
-    ids = [t.umbra for t in out]
+def _as_terms(terms: Iterable[tuple]) -> list[tuple[Fraction, Fraction, int]]:
+    out = [(Fraction(coeff), Fraction(shift), umbra) for coeff, shift, umbra in terms]
+    ids = [umbra for _, _, umbra in out]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate umbra ids in {ids}")
     return out
@@ -57,8 +41,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def umbral_power(terms: Sequence[UmbralTerm | tuple], p: int) -> Rational:
-    """Evaluate (sum_i a_i (E_i + x_i))^p with independent umbrae."""
+def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
+    """Evaluate (sum_i a_i (E_i + x_i))^p with independent umbrae.
+
+    Each term is a ``(coeff, shift, umbra)`` tuple for a_i * (E_i + x_i).
+    """
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
     ts = _as_terms(terms)
@@ -70,10 +57,10 @@ def umbral_power(terms: Sequence[UmbralTerm | tuple], p: int) -> Rational:
         for s in comp:
             coef //= factorial(s)
         prod = Fraction(coef)
-        for t, s in zip(ts, comp):
+        for (coeff, shift, _), s in zip(ts, comp):
             if prod == 0:
                 break
-            prod *= Fraction(t.coeff) ** s * euler_poly(s).eval(t.shift)
+            prod *= coeff**s * euler_poly(s).eval(shift)
         total += prod
     return total
 

@@ -12,7 +12,6 @@ from dcsums import (
     bernoulli_poly,
     euler_number,
     euler_poly,
-    eval_poly,
     poly_derivative,
     poly_integral,
     series_coeffs_oracle,
@@ -80,16 +79,16 @@ def test_bernoulli_poly_coefficients():
     assert bernoulli_poly(2).coeffs == (Fraction(1, 6), Fraction(-1), Fraction(1))
 
 
-def test_eval_poly_examples():
-    assert eval_poly(euler_poly(3), Fraction(1, 3)) == Fraction(13, 108)
-    assert eval_poly(euler_poly(1), 1) == Fraction(1, 2)
+def test_poly_eval_examples():
+    assert euler_poly(3).eval(Fraction(1, 3)) == Fraction(13, 108)
+    assert euler_poly(1).eval(1) == Fraction(1, 2)
     for n in range(12):
-        assert eval_poly(euler_poly(n), 0) == euler_number(n)
+        assert euler_poly(n).eval(0) == euler_number(n)
 
 
 def test_value_at_one_is_minus_euler_number():
     for n in range(1, 21):
-        assert eval_poly(euler_poly(n), 1) == -euler_number(n)
+        assert euler_poly(n).eval(1) == -euler_number(n)
 
 
 def test_poly_text_form():
@@ -139,10 +138,10 @@ def test_addition_theorem_at_random_rational_pairs():
         x, y = rand_rational(rng), rand_rational(rng)
         for p in range(11):
             expected = sum(
-                comb(p, s) * eval_poly(euler_poly(s), x) * y ** (p - s)
+                comb(p, s) * euler_poly(s).eval(x) * y ** (p - s)
                 for s in range(p + 1)
             )
-            assert eval_poly(euler_poly(p), x + y) == expected
+            assert euler_poly(p).eval(x + y) == expected
 
 
 def _shifted_coeffs(coeffs, c):
@@ -173,9 +172,9 @@ def test_multiplication_theorem_as_polynomial_identity():
 @given(small_rationals, small_rationals, st.integers(min_value=0, max_value=8))
 def test_addition_theorem_property(x, y, p):
     expected = sum(
-        comb(p, s) * eval_poly(euler_poly(s), x) * y ** (p - s) for s in range(p + 1)
+        comb(p, s) * euler_poly(s).eval(x) * y ** (p - s) for s in range(p + 1)
     )
-    assert eval_poly(euler_poly(p), x + y) == expected
+    assert euler_poly(p).eval(x + y) == expected
 
 
 # --- Series oracle ----------------------------------------------------------
@@ -200,8 +199,8 @@ def test_series_oracle_matches_polynomials_at_points():
         es = series_coeffs_oracle(10, "euler", x)
         bs = series_coeffs_oracle(10, "bernoulli", x)
         for n in range(11):
-            assert es[n] == eval_poly(euler_poly(n), x)
-            assert bs[n] == eval_poly(bernoulli_poly(n), x)
+            assert es[n] == euler_poly(n).eval(x)
+            assert bs[n] == bernoulli_poly(n).eval(x)
 
 
 def test_series_oracle_rejects_bad_arguments():
@@ -218,7 +217,7 @@ def test_binomial_sum_equals_exact_integral():
             comb(p, s) * euler_number(s) / Fraction(p - s + 2) for s in range(p + 1)
         )
         q = poly_integral(Poly([0, 1]) * euler_poly(p))
-        assert lhs == eval_poly(q, 1) - eval_poly(q, 0)
+        assert lhs == q.eval(1) - q.eval(0)
 
 
 def test_agreement_with_independent_test_oracle():

@@ -190,16 +190,31 @@ def test_audit_out_file(tmp_path, capsys):
     assert report.summary["dedekind_recip"]["fail"] == 0
 
 
-def test_worker_env_does_not_change_output(capsys, monkeypatch):
-    args = [
-        "audit", "--checks", "thm8_periodic", "--pmax", "3", "--hmax", "5",
-        "--kmax", "5", "--odd-only", "--format", "json",
-    ]
-    monkeypatch.delenv("DCSUM_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("DCSUM_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert serial == threaded
+def test_audit_rejects_duplicate_check_ids(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "audit", "--checks", "dedekind_recip,dedekind_recip", "--hmax", "3", "--kmax", "3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: duplicate check ids")
+
+
+def test_audit_empty_selection_exits_2(capsys):
+    code, out, err = run_cli(capsys, "audit", "--checks", ",")
+    assert code == 2 and out == ""
+    assert err == "error: no checks selected\n"
+
+
+def test_audit_unwritable_out_path_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        capsys,
+        "audit", "--checks", "dedekind_recip", "--hmax", "3", "--kmax", "3",
+        "--format", "csv", "--out", str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(out_path) in err
+    assert not out_path.exists()
 
 
 def test_module_entry_point_end_to_end():

@@ -11,7 +11,6 @@ from dcsums import (
     euler_function,
     euler_number,
     euler_poly,
-    eval_poly,
     floor_frac,
     sawtooth,
 )
@@ -98,7 +97,7 @@ def test_euler_function_restricts_to_polynomial_on_unit_interval():
     for x in samples:
         assert 0 <= x < 1
         for p in range(10):
-            assert euler_function(p, x) == eval_poly(euler_poly(p), x)
+            assert euler_function(p, x) == euler_poly(p).eval(x)
 
 
 def test_euler_function_distribution_formula():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcsums import binomial, format_rational, parse_rational, rat_pow
+from dcsums import binomial, format_rational, parse_rational
 
 rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6)
 
@@ -38,19 +38,6 @@ def test_binomial_satisfies_pascal_recurrence():
         for k in range(1, n + 1):
             assert binomial(n, k) == row[k]
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_rat_pow_examples():
-    assert rat_pow(Fraction(1, 2), 3) == Fraction(1, 8)
-    assert rat_pow(Fraction(-2, 3), 2) == Fraction(4, 9)
-    assert rat_pow(Fraction(7, 5), 0) == 1
-    assert rat_pow(0, 0) == 1
-    assert rat_pow(Fraction(0), 0) == 1
-
-
-def test_rat_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        rat_pow(Fraction(1, 2), -1)
 
 
 def test_format_rational():

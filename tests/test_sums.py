@@ -10,7 +10,6 @@ from dcsums import (
     euler_function,
     euler_number,
     euler_poly,
-    eval_poly,
     gen_dedekind_sum,
     lattice_partition,
     restricted_lattice_sum,
@@ -132,9 +131,7 @@ def test_alt_power_sum_corrected_closed_form():
     # (-1)^n fails already at n=2, l=1 (audited separately).
     for n in range(1, 21):
         for l in range(11):
-            closed = euler_number(l) + (-1) ** ((n + 1) % 2) * eval_poly(
-                euler_poly(l), n
-            )
+            closed = euler_number(l) + (-1) ** ((n + 1) % 2) * euler_poly(l).eval(n)
             assert alt_power_sum(n, l) == closed
 
 
