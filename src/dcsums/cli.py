@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
 
@@ -174,6 +175,18 @@ def _cmd_umbral(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_writable(path: str) -> None:
+    """Fail before the sweep if ``path`` cannot take the report; touch nothing."""
+    target = os.path.abspath(path)
+    if os.path.exists(target):
+        writable = not os.path.isdir(target) and os.access(target, os.W_OK)
+    else:
+        directory = os.path.dirname(target)
+        writable = os.path.isdir(directory) and os.access(directory, os.W_OK)
+    if not writable:
+        raise OSError(f"cannot write report to {path}")
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.checks is None:
         ids = registry_ids()
@@ -194,6 +207,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     if args.p is not None:
         grid = dataclasses.replace(grid, p_values=(args.p,))
+    if args.out:
+        _require_writable(args.out)
     report = sweep(ids, grid)
     if args.format == "json":
         payload = report_to_json(report)

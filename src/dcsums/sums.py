@@ -1,19 +1,29 @@
 """Finite sums: classical/generalized Dedekind sums, DC sums, and friends.
 
-Everything here is a direct summation over the defining index range — the
-direct sum is the contract, not an implementation detail, because these
-values also serve as oracles for the reciprocity-law audits.  Coprimality
-is demanded only where the definition itself needs it; theorem hypotheses
-are enforced by the audit registry, not here.
+The *values* are the contract: each sum returns exactly the rational its
+defining summation gives.  The direct definitions live, term by term in
+``Fraction`` arithmetic, in ``tests/oracles.py``, which shares no code with
+this module and re-checks it.  Here every summand is scaled onto one common
+denominator, so a sum accumulates Python ints in O(k) or O(hk) steps and
+builds a single ``Fraction`` at the end.  The scaling rests on one identity:
+if D is the lcm of the coefficient denominators of a degree-p polynomial P
+and a_i = D [x^i] P(x), then for all integers r and m >= 1
+
+    m^p D P(r/m) = sum_i a_i r^i m^(p-i),
+
+an integer polynomial in r evaluated by Horner's rule.  Coprimality is
+demanded only where the definition itself needs it; theorem hypotheses are
+enforced by the audit registry, not here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
+from typing import Callable
 
-from .appell import euler_poly
-from .periodic import bernoulli_function, euler_function, sawtooth
+from .appell import Poly, bernoulli_poly, euler_poly
 from .rationals import Rational
 
 __all__ = [
@@ -37,34 +47,66 @@ def _require_coprime(h: int, k: int) -> None:
         raise ValueError(f"arguments must be coprime, got gcd({h}, {k}) = {gcd(h, k)}")
 
 
+@lru_cache(maxsize=None)
+def _integer_coeffs(family: Callable[[int], Poly], p: int) -> tuple[int, tuple[int, ...]]:
+    """(D, a) with D the lcm of the coefficient denominators of family(p), a_i = D [x^i]."""
+    coeffs = family(p).coeffs
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, tuple(int(c * d) for c in coeffs)
+
+
+def _scaled(family: Callable[[int], Poly], p: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """(D, b) with b the Horner coefficients, highest power first, of m^p D family(p)(r/m)."""
+    d, a = _integer_coeffs(family, p)
+    return d, tuple(a[i] * m ** (p - i) for i in range(p, -1, -1))
+
+
+def _horner(b: tuple[int, ...], r: int) -> int:
+    acc = 0
+    for c in b:
+        acc = acc * r + c
+    return acc
+
+
 def dedekind_sum(h: int, k: int) -> Rational:
     """Classical Dedekind sum S(h,k) = sum_{u=1}^{k-1} ((u/k)) ((hu/k)).
 
-    Requires gcd(h, k) = 1.  S(h, 1) = 0 (empty sum).
+    Requires gcd(h, k) = 1.  S(h, 1) = 0 (empty sum).  With r = hu mod k,
+    ((u/k)) ((hu/k)) = (2u-k)(2r-k) / (4k^2) when r != 0 and 0 when r = 0.
     """
     _require_positive("h", h)
     _require_positive("k", k)
     _require_coprime(h, k)
-    return sum(
-        (sawtooth(Fraction(u, k)) * sawtooth(Fraction(h * u, k)) for u in range(1, k)),
-        Fraction(0),
-    )
+    total = 0
+    for u in range(1, k):
+        r = h * u % k
+        if r:
+            total += (2 * u - k) * (2 * r - k)
+    return Fraction(total, 4 * k * k)
 
 
 def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:
-    """Generalized Dedekind sum S_p(h,k) = sum_{a=1}^{k-1} (a/k) Bbar_p(ah/k)."""
+    """Generalized Dedekind sum S_p(h,k) = sum_{a=1}^{k-1} (a/k) Bbar_p(ah/k).
+
+    With r = ah mod k, Bbar_p(ah/k) = B_p(r/k), and k^p D B_p(r/k) is the
+    integer polynomial sum_i a_i r^i k^(p-i) in the Bernoulli coefficients,
+    so S_p(h,k) = sum_a a (k^p D B_p(r/k)) / (D k^(p+1)).
+    """
     _require_positive("p", p)
     _require_positive("h", h)
     _require_positive("k", k)
     _require_coprime(h, k)
-    return sum(
-        (Fraction(a, k) * bernoulli_function(p, Fraction(a * h, k)) for a in range(1, k)),
-        Fraction(0),
-    )
+    d, b = _scaled(bernoulli_poly, p, k)
+    total = sum(a * _horner(b, a * h % k) for a in range(1, k))
+    return Fraction(total, d * k ** (p + 1))
 
 
 def dc_sum(p: int, h: int, k: int) -> Rational:
     """DC sum T_p(h,k) = 2 sum_{u=1}^{k-1} (-1)^(u-1) (u/k) Ebar_p(hu/k).
+
+    With q, r = divmod(hu, k), Ebar_p(hu/k) = (-1)^q E_p(r/k), and
+    k^p D E_p(r/k) is the integer polynomial sum_i a_i r^i k^(p-i), so
+    T_p(h,k) = 2 sum_u (-1)^(u-1+q) u (k^p D E_p(r/k)) / (D k^(p+1)).
 
     The definition needs no coprimality, so none is demanded here; the
     reciprocity audits impose their own hypotheses.
@@ -73,11 +115,13 @@ def dc_sum(p: int, h: int, k: int) -> Rational:
         raise ValueError(f"p must be nonnegative, got {p}")
     _require_positive("h", h)
     _require_positive("k", k)
-    total = Fraction(0)
+    d, b = _scaled(euler_poly, p, k)
+    total = 0
     for u in range(1, k):
-        sign = 1 if u % 2 else -1
-        total += sign * Fraction(u, k) * euler_function(p, Fraction(h * u, k))
-    return 2 * total
+        q, r = divmod(h * u, k)
+        term = u * _horner(b, r)
+        total += term if (u + q) % 2 else -term
+    return Fraction(2 * total, d * k ** (p + 1))
 
 
 def alt_power_sum(n: int, l: int) -> Rational:
@@ -99,33 +143,49 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
     derivation uses) and the plain Euler polynomial otherwise (the form the
     reciprocity statement prints).  The two differ exactly on the lattice
     points with u/k + v/h >= 1.
+
+    With n = uh + vk both the weight and the argument are n/(hk).  The
+    periodic form takes q, r = divmod(n, hk) and F_p(n/(hk)) = (-1)^q
+    E_p(r/(hk)); the plain form takes q, r = 0, n.  Since (hk)^p D E_p(r/(hk))
+    is the integer polynomial sum_i a_i r^i (hk)^(p-i), the double sum is
+    2 sum_{u,v} (-1)^(u+v-1+q) n ((hk)^p D E_p(r/(hk))) / (D hk).
     """
     _require_positive("p", p)
     _require_positive("h", h)
     _require_positive("k", k)
-    total = Fraction(0)
+    m = h * k
+    d, b = _scaled(euler_poly, p, m)
+    total = 0
     for u in range(k):
         for v in range(h):
-            sign = -1 if (u + v) % 2 == 0 else 1
-            arg = Fraction(u, k) + Fraction(v, h)
-            value = euler_function(p, arg) if periodic else euler_poly(p).eval(arg)
-            total += sign * Fraction(u * h + v * k, h * k) * value
-    return 2 * (h * k) ** p * total
+            n = u * h + v * k
+            q, r = divmod(n, m) if periodic else (0, n)
+            term = n * _horner(b, r)
+            total += term if (u + v + q) % 2 else -term
+    return Fraction(2 * total, d * m)
 
 
 def restricted_lattice_sum(p: int, h: int, k: int) -> Rational:
-    """2 sum over 0<=u<k, 0<=v<h with uh+vk < hk of (-1)^(u+v-1) E_p(u/k + v/h)."""
+    """2 sum over 0<=u<k, 0<=v<h with uh+vk < hk of (-1)^(u+v-1) E_p(u/k + v/h).
+
+    With n = uh + vk the argument is n/(hk), and (hk)^p D E_p(n/(hk)) is the
+    integer polynomial sum_i a_i n^i (hk)^(p-i), so the sum is
+    2 sum (-1)^(u+v-1) ((hk)^p D E_p(n/(hk))) / (D (hk)^p).
+    """
     _require_positive("p", p)
     _require_positive("h", h)
     _require_positive("k", k)
-    poly = euler_poly(p)
-    total = Fraction(0)
+    m = h * k
+    d, b = _scaled(euler_poly, p, m)
+    total = 0
     for u in range(k):
         for v in range(h):
-            if u * h + v * k < h * k:
-                sign = -1 if (u + v) % 2 == 0 else 1
-                total += sign * poly.eval(Fraction(u, k) + Fraction(v, h))
-    return 2 * total
+            n = u * h + v * k
+            if n >= m:
+                break
+            term = _horner(b, n)
+            total += term if (u + v) % 2 else -term
+    return Fraction(2 * total, d * m**p)
 
 
 def lattice_partition(h: int, k: int) -> tuple[list[int], list[int]]:

@@ -209,3 +209,15 @@ def test_sweep_rejects_duplicate_ids():
     grid = ParamGrid.from_maxima(hmax=3, kmax=3)
     with pytest.raises(ValueError, match="duplicate check ids"):
         sweep(["dedekind_recip", "dedekind_recip"], grid)
+
+
+def test_thm8_poly_holds_iff_min_h_k_is_one():
+    # FINDINGS.md: the printed (plain E_p) double sum agrees with the DC-sum
+    # side exactly while every argument u/k + v/h stays below 1.
+    odd = tuple(range(1, 32, 2))
+    grid = ParamGrid(p_values=(3, 5, 7, 9, 11), h_values=odd, k_values=odd)
+    report = sweep(["thm8_poly"], grid)
+    assert len(report.results) == 1280
+    for r in report.results:
+        assert not r.skipped
+        assert r.holds == (min(r.params["h"], r.params["k"]) == 1), r.params

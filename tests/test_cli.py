@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dcsums import report_from_json
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dcsums import cli, report_from_json
 from dcsums.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -215,6 +217,81 @@ def test_audit_unwritable_out_path_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(out_path) in err
     assert not out_path.exists()
+
+
+def test_audit_checks_out_path_before_sweeping(tmp_path, capsys, monkeypatch):
+    def sweep_must_not_run(*args, **kwargs):
+        raise AssertionError("sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep", sweep_must_not_run)
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(capsys, "audit", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+    # A sweep that fails after the check leaves an existing report untouched.
+    def failing_sweep(*args, **kwargs):
+        raise ValueError("sweep failed")
+
+    existing = tmp_path / "report.csv"
+    existing.write_text("old report\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "sweep", failing_sweep)
+    code, out, err = run_cli(capsys, "audit", "--out", str(existing))
+    assert code == 2 and err == "error: sweep failed\n"
+    assert existing.read_text(encoding="utf-8") == "old report\n"
+
+
+COMMANDS = (
+    "eulernum", "eulerpoly", "bernoullinum", "eulerfn", "dedekind", "gendedekind",
+    "dcsum", "umbral", "audit", "checks", "frobnicate", "--help",
+)
+# Small values keep every single query cheap.  Positive ints are drawn three
+# times as often as the odd literals, so most positionals parse.
+INTS = st.integers(1, 6).map(str)
+ODD = st.sampled_from(("0", "-1", "1/2", "-1/3", "4/3", "0/5", "1/0", "x", "", "--help"))
+VALUES = st.one_of(INTS, INTS, INTS, ODD)
+# Positional count of each value command; half the draws use it exactly.
+ARITY = {"eulernum": 1, "eulerpoly": 1, "bernoullinum": 1, "eulerfn": 2,
+         "dedekind": 2, "gendedekind": 3, "dcsum": 3}
+SWITCHES = ("--odd-only", "--coprime-only")
+# Options drawn per command; the value commands take none.
+FLAGS = {
+    "umbral": ("--form", "--p", "--h", "--k", "--x"),
+    "audit": ("--checks", "--p", "--pmax", "--hmax", "--kmax", "--nmax", "--lmax",
+              "--mmax", "--smax", "--odd-only", "--coprime-only", "--format", "--out"),
+}
+FLAG_VALUES = {
+    "--form": st.sampled_from(("Ex", "hEkE", "thm9rhs", "Xy")),
+    "--format": st.sampled_from(("text", "json", "csv", "xml")),
+    "--checks": st.sampled_from(("dedekind_recip", "thm8_poly,thm9", "thm9,thm9", "thm42", ",")),
+    "--out": st.sampled_from(("report.out", "", ".", "missing/report.out")),
+}
+# Placed right after "audit", so a drawn maximum can only shrink the default
+# grid or override a cap with a value from VALUES.
+AUDIT_CAPS = ["--pmax", "3", "--hmax", "4", "--kmax", "4", "--nmax", "4",
+              "--lmax", "3", "--mmax", "4", "--smax", "3"]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, *(AUDIT_CAPS if command == "audit" else [])]
+    count = draw(st.just(ARITY.get(command, 0)) | st.integers(0, 3))
+    argv += draw(st.lists(VALUES, min_size=count, max_size=count))
+    flags = draw(st.permutations(FLAGS.get(command, ())))
+    for flag in flags[: draw(st.integers(0, len(flags)))]:
+        argv += [flag] if flag in SWITCHES else [flag, draw(FLAG_VALUES.get(flag, VALUES))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_any_argv_exits_0_1_or_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # a drawn --out writes here
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2)
 
 
 def test_module_entry_point_end_to_end():

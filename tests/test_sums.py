@@ -33,6 +33,7 @@ def test_dedekind_sum_matches_direct_oracle():
         for h in range(1, 16):
             if gcd(h, k) == 1:
                 assert dedekind_sum(h, k) == oracles.dedekind(h, k)
+    assert dedekind_sum(3, 1001) == oracles.dedekind(3, 1001)
 
 
 def test_dedekind_sum_requires_coprime_arguments():
@@ -60,11 +61,12 @@ def test_gen_dedekind_sum_values():
 
 
 def test_gen_dedekind_sum_matches_direct_oracle():
-    for p in (1, 2, 3):
-        for k in (1, 2, 3, 5, 8):
+    for p in range(1, 7):
+        for k in (1, 2, 3, 5, 8, 9):
             for h in (1, 2, 3, 7):
                 if gcd(h, k) == 1:
                     assert gen_dedekind_sum(p, h, k) == oracles.gen_dedekind(p, h, k)
+    assert gen_dedekind_sum(5, 3, 1001) == oracles.gen_dedekind(5, 3, 1001)
 
 
 def test_gen_dedekind_sum_preconditions():
@@ -94,8 +96,15 @@ def test_dc_sum_empty_for_unit_modulus():
 
 def test_dc_sum_allows_non_coprime_arguments():
     # The definition needs no coprimality; only the reciprocity audits do.
+    # Checked against the direct oracle for both parities of p, coprime and
+    # non-coprime (h, k), k = 1, and one large k.
     assert dc_sum(1, 2, 4) == oracles.dc(1, 2, 4)
     assert dc_sum(3, 6, 9) == oracles.dc(3, 6, 9)
+    for p in range(10):
+        for h in (1, 2, 3, 4, 6, 9):
+            for k in (1, 2, 3, 4, 6, 9, 10):
+                assert dc_sum(p, h, k) == oracles.dc(p, h, k)
+    assert dc_sum(7, 3, 1001) == oracles.dc(7, 3, 1001)
 
 
 def test_dc_sum_matches_distribution_expansion():
@@ -158,13 +167,15 @@ def test_theorem8_variants_agree_iff_arguments_stay_below_one():
 
 
 def test_theorem8_rhs_matches_direct_oracle():
-    for p in (1, 3):
-        for h in (1, 2, 3, 5):
-            for k in (1, 2, 3, 5):
+    for p in range(1, 10):
+        for h in (1, 2, 3, 5, 8, 9):
+            for k in (1, 2, 4, 5, 9):
                 for periodic in (True, False):
                     assert theorem8_rhs(p, h, k, periodic=periodic) == oracles.t8_rhs(
                         p, h, k, periodic
                     )
+    for periodic in (True, False):
+        assert theorem8_rhs(5, 7, 61, periodic) == oracles.t8_rhs(5, 7, 61, periodic)
 
 
 # --- restricted lattice sum ----------------------------------------------------
@@ -177,10 +188,11 @@ def test_restricted_lattice_sum_values():
 
 
 def test_restricted_lattice_sum_matches_direct_oracle():
-    for p in (1, 3):
+    for p in range(1, 10):
         for h in (1, 2, 3, 5):
             for k in (1, 3, 4, 7):
                 assert restricted_lattice_sum(p, h, k) == oracles.lattice_sum(p, h, k)
+    assert restricted_lattice_sum(7, 5, 201) == oracles.lattice_sum(7, 5, 201)
 
 
 # --- lattice partition -----------------------------------------------------------
