@@ -169,7 +169,7 @@ def test_theorem8_variants_agree_iff_arguments_stay_below_one():
 def test_theorem8_rhs_matches_direct_oracle():
     for p in range(1, 10):
         for h in (1, 2, 3, 5, 8, 9):
-            for k in (1, 2, 4, 5, 9):
+            for k in (1, 2, 3, 4, 5, 9):
                 for periodic in (True, False):
                     assert theorem8_rhs(p, h, k, periodic=periodic) == oracles.t8_rhs(
                         p, h, k, periodic
