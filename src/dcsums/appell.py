@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterable
 
 from .rationals import Rational, binomial, format_rational
@@ -41,15 +41,27 @@ class Poly:
     The highest stored coefficient is nonzero (the zero polynomial stores
     nothing), so coefficient tuples compare as polynomials.  Instances are
     treated as immutable.
+
+    Evaluation is exact and runs on integers.  With ``den`` the lcm of the
+    coefficient denominators and ``num[i] = den * [x^i] P``, for every
+    integer n and m >= 1 a degree-d polynomial satisfies
+
+        m^d den P(n/m) = sum_i num[i] n^i m^(d-i),
+
+    an integer polynomial in n evaluated by Horner's rule.  ``eval`` runs it
+    once per point; ``scaled`` returns its coefficients for callers that
+    evaluate many points over one fixed m.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "den", "num")
 
     def __init__(self, coeffs: Iterable[Rational | int] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.den: int = lcm(*(c.denominator for c in cs))
+        self.num: tuple[int, ...] = tuple(c.numerator * (self.den // c.denominator) for c in cs)
 
     @property
     def degree(self) -> int:
@@ -57,12 +69,21 @@ class Poly:
         return len(self.coeffs) - 1
 
     def eval(self, x: Rational | int) -> Rational:
-        """Exact Horner evaluation."""
+        """Exact P(x): an integer Horner pass in n for x = n/m, then one Fraction."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        n, m = x.numerator, x.denominator
+        acc, mpow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * n + c * mpow
+            mpow *= m
+        # The loop leaves mpow = m^(d+1) (1 for the zero polynomial), so the
+        # extra factor m on top cancels it down to den m^d.
+        return Fraction(acc * m, self.den * mpow)
+
+    def scaled(self, m: int) -> tuple[int, ...]:
+        """Horner coefficients, highest power first, of n -> m^d den P(n/m)."""
+        d = self.degree
+        return tuple(self.num[i] * m ** (d - i) for i in range(d, -1, -1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -127,24 +128,13 @@ class ParamGrid:
         return values
 
     def iter_params(self, param_names: Sequence[str]) -> Iterator[dict[str, int]]:
-        def rec(i: int, acc: dict[str, int]) -> Iterator[dict[str, int]]:
-            if i == len(param_names):
-                yield dict(acc)
-                return
-            name = param_names[i]
-            for v in self.values_for(name):
-                acc[name] = v
-                if (
-                    self.coprime_only
-                    and name == "k"
-                    and "h" in acc
-                    and gcd(acc["h"], v) != 1
-                ):
-                    continue
-                yield from rec(i + 1, acc)
-            acc.pop(name, None)
-
-        yield from rec(0, {})
+        names = tuple(param_names)
+        coprime = self.coprime_only and "h" in names and "k" in names
+        for values in product(*(self.values_for(name) for name in names)):
+            params = dict(zip(names, values))
+            if coprime and gcd(params["h"], params["k"]) != 1:
+                continue
+            yield params
 
     def description(self) -> dict:
         """JSON-ready description embedded in reports (lists, not tuples)."""
@@ -156,10 +146,6 @@ class ParamGrid:
 
 # ---------------------------------------------------------------------------
 # Shared building blocks for the registered checks.
-
-def _euler_value(n: int, x) -> Fraction:
-    return euler_poly(n).eval(Fraction(x))
-
 
 def _integral_01_x_times_euler(p: int) -> Fraction:
     # Exact int_0^1 x E_p(x) dx by term-wise polynomial integration.
@@ -204,7 +190,7 @@ def _derivative_sum_rhs(p: int, s: int) -> Fraction:
 def _dc_closed_form_rhs(p: int, m: int) -> Fraction:
     total = Fraction(0)
     for v in range(p + 1):
-        diff = _euler_value(p - v + 1, m) - euler_number(p - v + 1)
+        diff = euler_poly(p - v + 1).eval(m) - euler_number(p - v + 1)
         total += (
             binomial(p, v)
             * euler_number(v)
@@ -249,7 +235,7 @@ def _dc_split_sum_rhs(p: int, m: int) -> Fraction:
 def _dc_eval1_rhs(p: int, m: int) -> Fraction:
     total = sum(
         (
-            binomial(p, i) * _euler_value(p - i, 1) * euler_number(i) * m ** (p - i)
+            binomial(p, i) * euler_poly(p - i).eval(1) * euler_number(i) * m ** (p - i)
             for i in range(p + 1)
         ),
         Fraction(0),
@@ -264,7 +250,7 @@ def _mixed_closed_lhs(p: int, h: int, k: int) -> Fraction:
             * k ** (p - s)
             * euler_number(s)
             * h ** (p - s)
-            * _euler_value(p - s, 1)
+            * euler_poly(p - s).eval(1)
             for s in range(p + 1)
         ),
         Fraction(0),
@@ -279,8 +265,8 @@ def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
             inner += (
                 binomial(p, s)
                 * h**s
-                * _euler_value(s, Fraction(u, k))
-                * _euler_value(p - s, h - (h * u) // k)
+                * euler_poly(s).eval(Fraction(u, k))
+                * euler_poly(p - s).eval(h - (h * u) // k)
             )
         total += inner if u % 2 == 0 else -inner
     return k**p * total
@@ -288,27 +274,27 @@ def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
 
 def _addition_lhs(p: int, h: int, k: int) -> Fraction:
     x, y = Fraction(h, k), Fraction(k, h)
-    return _euler_value(p, x + y)
+    return euler_poly(p).eval(x + y)
 
 
 def _addition_rhs(p: int, h: int, k: int) -> Fraction:
     x, y = Fraction(h, k), Fraction(k, h)
     return sum(
-        (binomial(p, s) * _euler_value(s, x) * y ** (p - s) for s in range(p + 1)),
+        (binomial(p, s) * euler_poly(s).eval(x) * y ** (p - s) for s in range(p + 1)),
         Fraction(0),
     )
 
 
 def _multiplication_lhs(p: int, m: int) -> Fraction:
     x = Fraction(1, 2 * m)
-    return _euler_value(p, m * x)
+    return euler_poly(p).eval(m * x)
 
 
 def _multiplication_rhs(p: int, m: int) -> Fraction:
     x = Fraction(1, 2 * m)
     total = Fraction(0)
     for s in range(m):
-        term = _euler_value(p, x + Fraction(s, m))
+        term = euler_poly(p).eval(x + Fraction(s, m))
         total += term if s % 2 == 0 else -term
     return m**p * total
 
@@ -347,7 +333,7 @@ _register(
     ("n", "l"),
     lambda n, l: n >= 1 and l >= 0,
     lambda n, l: alt_power_sum(n, l),
-    lambda n, l: (-1) ** (n % 2) * _euler_value(l, n) + euler_number(l),
+    lambda n, l: (-1) ** (n % 2) * euler_poly(l).eval(n) + euler_number(l),
     "alternating power sum vs printed (-1)^n E_l(n) + E_l",
 )
 
@@ -356,7 +342,7 @@ _register(
     ("n", "l"),
     lambda n, l: n >= 1 and l >= 0,
     lambda n, l: alt_power_sum(n, l),
-    lambda n, l: (-1) ** ((n + 1) % 2) * _euler_value(l, n) + euler_number(l),
+    lambda n, l: (-1) ** ((n + 1) % 2) * euler_poly(l).eval(n) + euler_number(l),
     "alternating power sum vs corrected (-1)^(n+1) E_l(n) + E_l",
 )
 

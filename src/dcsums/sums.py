@@ -5,25 +5,19 @@ defining summation gives.  The direct definitions live, term by term in
 ``Fraction`` arithmetic, in ``tests/oracles.py``, which shares no code with
 this module and re-checks it.  Here every summand is scaled onto one common
 denominator, so a sum accumulates Python ints in O(k) or O(hk) steps and
-builds a single ``Fraction`` at the end.  The scaling rests on one identity:
-if D is the lcm of the coefficient denominators of a degree-p polynomial P
-and a_i = D [x^i] P(x), then for all integers r and m >= 1
-
-    m^p D P(r/m) = sum_i a_i r^i m^(p-i),
-
-an integer polynomial in r evaluated by Horner's rule.  Coprimality is
-demanded only where the definition itself needs it; theorem hypotheses are
-enforced by the audit registry, not here.
+builds a single ``Fraction`` at the end.  The scaling is the integer form of
+``Poly`` (see its docstring): ``P.scaled(m)`` holds the Horner coefficients
+of r -> m^p D P(r/m), an integer polynomial in r, with D = ``P.den``.
+Coprimality is demanded only where the definition itself needs it; theorem
+hypotheses are enforced by the audit registry, not here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-from typing import Callable
+from math import gcd
 
-from .appell import Poly, bernoulli_poly, euler_poly
+from .appell import bernoulli_poly, euler_poly
 from .rationals import Rational
 
 __all__ = [
@@ -45,20 +39,6 @@ def _require_positive(name: str, value: int) -> None:
 def _require_coprime(h: int, k: int) -> None:
     if gcd(h, k) != 1:
         raise ValueError(f"arguments must be coprime, got gcd({h}, {k}) = {gcd(h, k)}")
-
-
-@lru_cache(maxsize=None)
-def _integer_coeffs(family: Callable[[int], Poly], p: int) -> tuple[int, tuple[int, ...]]:
-    """(D, a) with D the lcm of the coefficient denominators of family(p), a_i = D [x^i]."""
-    coeffs = family(p).coeffs
-    d = lcm(*(c.denominator for c in coeffs))
-    return d, tuple(int(c * d) for c in coeffs)
-
-
-def _scaled(family: Callable[[int], Poly], p: int, m: int) -> tuple[int, tuple[int, ...]]:
-    """(D, b) with b the Horner coefficients, highest power first, of m^p D family(p)(r/m)."""
-    d, a = _integer_coeffs(family, p)
-    return d, tuple(a[i] * m ** (p - i) for i in range(p, -1, -1))
 
 
 def _horner(b: tuple[int, ...], r: int) -> int:
@@ -89,23 +69,24 @@ def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:
     """Generalized Dedekind sum S_p(h,k) = sum_{a=1}^{k-1} (a/k) Bbar_p(ah/k).
 
     With r = ah mod k, Bbar_p(ah/k) = B_p(r/k), and k^p D B_p(r/k) is the
-    integer polynomial sum_i a_i r^i k^(p-i) in the Bernoulli coefficients,
+    integer polynomial sum_i num_i r^i k^(p-i) in the Bernoulli coefficients,
     so S_p(h,k) = sum_a a (k^p D B_p(r/k)) / (D k^(p+1)).
     """
     _require_positive("p", p)
     _require_positive("h", h)
     _require_positive("k", k)
     _require_coprime(h, k)
-    d, b = _scaled(bernoulli_poly, p, k)
+    poly = bernoulli_poly(p)
+    b = poly.scaled(k)
     total = sum(a * _horner(b, a * h % k) for a in range(1, k))
-    return Fraction(total, d * k ** (p + 1))
+    return Fraction(total, poly.den * k ** (p + 1))
 
 
 def dc_sum(p: int, h: int, k: int) -> Rational:
     """DC sum T_p(h,k) = 2 sum_{u=1}^{k-1} (-1)^(u-1) (u/k) Ebar_p(hu/k).
 
     With q, r = divmod(hu, k), Ebar_p(hu/k) = (-1)^q E_p(r/k), and
-    k^p D E_p(r/k) is the integer polynomial sum_i a_i r^i k^(p-i), so
+    k^p D E_p(r/k) is the integer polynomial sum_i num_i r^i k^(p-i), so
     T_p(h,k) = 2 sum_u (-1)^(u-1+q) u (k^p D E_p(r/k)) / (D k^(p+1)).
 
     The definition needs no coprimality, so none is demanded here; the
@@ -115,13 +96,14 @@ def dc_sum(p: int, h: int, k: int) -> Rational:
         raise ValueError(f"p must be nonnegative, got {p}")
     _require_positive("h", h)
     _require_positive("k", k)
-    d, b = _scaled(euler_poly, p, k)
+    poly = euler_poly(p)
+    b = poly.scaled(k)
     total = 0
     for u in range(1, k):
         q, r = divmod(h * u, k)
         term = u * _horner(b, r)
         total += term if (u + q) % 2 else -term
-    return Fraction(2 * total, d * k ** (p + 1))
+    return Fraction(2 * total, poly.den * k ** (p + 1))
 
 
 def alt_power_sum(n: int, l: int) -> Rational:
@@ -147,14 +129,15 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
     With n = uh + vk both the weight and the argument are n/(hk).  The
     periodic form takes q, r = divmod(n, hk) and F_p(n/(hk)) = (-1)^q
     E_p(r/(hk)); the plain form takes q, r = 0, n.  Since (hk)^p D E_p(r/(hk))
-    is the integer polynomial sum_i a_i r^i (hk)^(p-i), the double sum is
+    is the integer polynomial sum_i num_i r^i (hk)^(p-i), the double sum is
     2 sum_{u,v} (-1)^(u+v-1+q) n ((hk)^p D E_p(r/(hk))) / (D hk).
     """
     _require_positive("p", p)
     _require_positive("h", h)
     _require_positive("k", k)
     m = h * k
-    d, b = _scaled(euler_poly, p, m)
+    poly = euler_poly(p)
+    b = poly.scaled(m)
     total = 0
     for u in range(k):
         for v in range(h):
@@ -162,21 +145,22 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
             q, r = divmod(n, m) if periodic else (0, n)
             term = n * _horner(b, r)
             total += term if (u + v + q) % 2 else -term
-    return Fraction(2 * total, d * m)
+    return Fraction(2 * total, poly.den * m)
 
 
 def restricted_lattice_sum(p: int, h: int, k: int) -> Rational:
     """2 sum over 0<=u<k, 0<=v<h with uh+vk < hk of (-1)^(u+v-1) E_p(u/k + v/h).
 
     With n = uh + vk the argument is n/(hk), and (hk)^p D E_p(n/(hk)) is the
-    integer polynomial sum_i a_i n^i (hk)^(p-i), so the sum is
+    integer polynomial sum_i num_i n^i (hk)^(p-i), so the sum is
     2 sum (-1)^(u+v-1) ((hk)^p D E_p(n/(hk))) / (D (hk)^p).
     """
     _require_positive("p", p)
     _require_positive("h", h)
     _require_positive("k", k)
     m = h * k
-    d, b = _scaled(euler_poly, p, m)
+    poly = euler_poly(p)
+    b = poly.scaled(m)
     total = 0
     for u in range(k):
         for v in range(h):
@@ -185,7 +169,7 @@ def restricted_lattice_sum(p: int, h: int, k: int) -> Rational:
                 break
             term = _horner(b, n)
             total += term if (u + v) % 2 else -term
-    return Fraction(2 * total, d * m**p)
+    return Fraction(2 * total, poly.den * m**p)
 
 
 def lattice_partition(h: int, k: int) -> tuple[list[int], list[int]]:

@@ -16,6 +16,7 @@ from dcsums import (
     poly_integral,
     series_coeffs_oracle,
 )
+from dcsums.sums import _horner
 
 import oracles
 
@@ -104,6 +105,44 @@ def test_poly_normalization_and_degree():
     assert Poly([0]).coeffs == ()
     assert Poly().degree == -1
     assert euler_poly(7).degree == 7
+
+
+# Arbitrary rational coefficients (zeros and non-dyadic denominators
+# included); short lists give the zero polynomial and constants often.
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+polys = st.one_of(
+    st.lists(coefficients, max_size=1), st.lists(coefficients, max_size=12)
+).map(Poly)
+points = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=24),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+def _direct_value(poly, x):
+    x = Fraction(x)
+    return sum((c * x**i for i, c in enumerate(poly.coeffs)), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, points)
+def test_integer_scaled_eval_matches_direct_sum(poly, x):
+    value = poly.eval(x)
+    assert type(value) is Fraction
+    assert value == _direct_value(poly, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+def test_scaled_horner_vector_is_the_integer_form(poly, r, m):
+    scale = m ** max(poly.degree, 0) * poly.den
+    assert len(poly.scaled(m)) == len(poly.coeffs)
+    assert _horner(poly.scaled(m), r) == scale * _direct_value(poly, Fraction(r, m))
 
 
 def test_derivative_examples():

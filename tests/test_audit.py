@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -211,13 +212,34 @@ def test_sweep_rejects_duplicate_ids():
         sweep(["dedekind_recip", "dedekind_recip"], grid)
 
 
-def test_thm8_poly_holds_iff_min_h_k_is_one():
-    # FINDINGS.md: the printed (plain E_p) double sum agrees with the DC-sum
-    # side exactly while every argument u/k + v/h stays below 1.
+@pytest.mark.parametrize(
+    ("check_id", "predicate", "evaluated"),
+    [
+        # FINDINGS.md: the printed (plain E_p) double sum agrees with the
+        # DC-sum side exactly while every argument u/k + v/h stays below 1.
+        pytest.param("thm8_poly", lambda h, k: min(h, k) == 1, 1280, id="thm8_poly"),
+        # FINDINGS.md: the printed mixed double sum holds only when k = 1 or
+        # h = 1 (mod k); its hypotheses skip the non-coprime pairs.
+        pytest.param("thm7", lambda h, k: k == 1 or h % k == 1, 1065, id="thm7"),
+    ],
+)
+def test_printed_form_holds_exactly_where_findings_say(check_id, predicate, evaluated):
     odd = tuple(range(1, 32, 2))
     grid = ParamGrid(p_values=(3, 5, 7, 9, 11), h_values=odd, k_values=odd)
-    report = sweep(["thm8_poly"], grid)
-    assert len(report.results) == 1280
-    for r in report.results:
-        assert not r.skipped
-        assert r.holds == (min(r.params["h"], r.params["k"]) == 1), r.params
+    results = [r for r in sweep([check_id], grid).results if not r.skipped]
+    assert len(results) == evaluated
+    for r in results:
+        assert r.holds == predicate(r.params["h"], r.params["k"]), r.params
+
+
+def test_iter_params_leaves_no_garbage_cycles():
+    # Enumeration must be freed by reference counting alone.
+    grid = ParamGrid.from_maxima(hmax=6, kmax=6, odd_only=True, coprime_only=True)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            list(grid.iter_params(("p", "h", "k")))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

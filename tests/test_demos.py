@@ -1,12 +1,15 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 # The fast narrative demos; each asserts its own claims and must exit 0.
 # run_identity_audit.py and generate_findings.py each sweep the standard
-# grid, and the latter rewrites FINDINGS.md, so they are left out.
+# grid, and the latter rewrites FINDINGS.md, so they are left out here;
+# generate_findings.py is run in process below with its output redirected.
 FAST_DEMOS = (
     "euler_numbers_and_polynomials.py",
     "periodic_extensions.py",
@@ -21,3 +24,16 @@ def test_fast_demos_run():
             [sys.executable, str(DEMOS / name)], capture_output=True, text=True
         )
         assert proc.returncode == 0, f"{name}:\n{proc.stderr}"
+
+
+def test_generate_findings_reproduces_committed_document(tmp_path):
+    # Run the generator with its output redirected, so the committed
+    # FINDINGS.md is compared, never rewritten.
+    spec = importlib.util.spec_from_file_location(
+        "generate_findings", DEMOS / "generate_findings.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.OUT = tmp_path / "FINDINGS.md"
+    module.main()
+    assert module.OUT.read_bytes() == (ROOT / "FINDINGS.md").read_bytes()
