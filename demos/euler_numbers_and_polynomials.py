@@ -2,7 +2,7 @@
 
 Shows the number sequences, the polynomials, the derivative and corrected
 integral identities, and the independent generating-series oracle that
-cross-checks the recurrence path.  Run: python demos/euler_numbers_and_polynomials.py
+cross-checks the tangent-number path.  Run: python demos/euler_numbers_and_polynomials.py
 """
 
 import sys
@@ -49,7 +49,7 @@ print("the commonly printed integral formula drops (compare n = 0: x vs x - 1/2)
 for n in (0, 1, 3):
     print(f"  int_0^x E_{n} = {poly_integral(euler_poly(n))}")
 
-print("\nGenerating-series oracle vs recurrence path, n <= 12 at x = 0 and x = 1/3:")
+print("\nGenerating-series oracle vs tangent-number path, n <= 12 at x = 0 and x = 1/3:")
 for x in (Fraction(0), Fraction(1, 3)):
     oracle = series_coeffs_oracle(12, "euler", x)
     assert all(oracle[n] == euler_poly(n).eval(x) for n in range(13))

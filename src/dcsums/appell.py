@@ -1,25 +1,25 @@
 """Euler and Bernoulli numbers and polynomials with exact coefficients.
 
 Two genuinely different code paths are kept alive on purpose.  The
-production path builds the numbers from their defining recurrences
+production path builds both number sequences from one integer table of
+tangent numbers T_m,
 
-    E_0 = 1,  E_n = -(1/2) * sum_{l<n} C(n,l) E_l
-    B_0 = 1,  sum_{k<=n} C(n+1,k) B_k = 0          (n >= 1)
+    E_(2m-1) = (-1)^m T_m / 2^(2m-1)
+    B_(2m)   = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))        (m >= 1)
 
 and the polynomials from the binomial expansion around those numbers,
 E_n(x) = sum_l C(n,l) E_l x^(n-l).  ``series_coeffs_oracle`` re-derives the
 same values by truncated power-series division of the generating functions
 2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1); the tests and the audit engine use it
-to cross-check the recurrence path.
+to cross-check the tangent-table path.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .rationals import Rational, binomial, format_rational
 
@@ -143,60 +143,60 @@ class Poly:
         return "".join(parts) if parts else "0"
 
 
-class SequenceCache:
-    """Grow-only memo for a number sequence; prefix values never change.
+# E_0..E_N and B_0..B_N.  An index past the end rebuilds both from one
+# tangent table at least twice the size.  Each tuple is bound in a single
+# assignment, so a reader on another thread sees the old or the new tuple,
+# both correct prefixes, and no lock is needed.
+_EULER_NUMBERS: tuple[Fraction, ...] = ()
+_BERNOULLI_NUMBERS: tuple[Fraction, ...] = ()
 
-    Reads are lock-free (the list only ever gains entries); extension is
-    serialized through a single writer lock.
+
+def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Publish and return E_0..E_(2top) and B_0..B_(2top) for some 2top > n.
+
+    Fills the integer table T_1..T_top of tangent numbers (Knuth &
+    Buckholtz, Math. Comp. 21, 1967; Brent & Harvey, arXiv:1108.0286,
+    Algorithm TangentNumbers) and maps it by the formulas in the module
+    docstring.  E_0 = B_0 = 1, B_1 = -1/2, and E_(2m), B_(2m+1) vanish for
+    m >= 1.
     """
-
-    def __init__(self, rule: Callable[[list[Fraction]], Fraction]):
-        self._rule = rule
-        self._values: list[Fraction] = []
-        self._lock = threading.Lock()
-
-    def get(self, n: int) -> Fraction:
-        values = self._values
-        if n < len(values):
-            return values[n]
-        with self._lock:
-            while len(self._values) <= n:
-                self._values.append(self._rule(self._values))
-            return self._values[n]
-
-
-def _next_euler(values: list[Fraction]) -> Fraction:
-    n = len(values)
-    if n == 0:
-        return Fraction(1)
-    acc = sum(binomial(n, l) * values[l] for l in range(n))
-    return Fraction(-1, 2) * acc
-
-
-def _next_bernoulli(values: list[Fraction]) -> Fraction:
-    n = len(values)
-    if n == 0:
-        return Fraction(1)
-    acc = sum(binomial(n + 1, k) * values[k] for k in range(n))
-    return -acc / (n + 1)
-
-
-_EULER_NUMBERS = SequenceCache(_next_euler)
-_BERNOULLI_NUMBERS = SequenceCache(_next_bernoulli)
+    global _EULER_NUMBERS, _BERNOULLI_NUMBERS
+    top = max(n // 2 + 1, len(_EULER_NUMBERS))
+    t = [0, 1] + [0] * (top - 1)
+    for k in range(2, top + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, top + 1):
+        for j in range(k, top + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    euler = [Fraction(1)] + [Fraction(0)] * (2 * top)
+    bernoulli = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (2 * top - 1)
+    for m in range(1, top + 1):
+        sign = -1 if m % 2 else 1
+        euler[2 * m - 1] = Fraction(sign * t[m], 2 ** (2 * m - 1))
+        bernoulli[2 * m] = Fraction(-sign * 2 * m * t[m], 4**m * (4**m - 1))
+    _EULER_NUMBERS = euler_tuple = tuple(euler)
+    _BERNOULLI_NUMBERS = bernoulli_tuple = tuple(bernoulli)
+    return euler_tuple, bernoulli_tuple
 
 
 def euler_number(n: int) -> Rational:
     """n-th Euler number E_n = E_n(0); E_1 = -1/2 and E_{2k} = 0 for k >= 1."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return _EULER_NUMBERS.get(n)
+    numbers = _EULER_NUMBERS
+    if n >= len(numbers):
+        numbers = _rebuild(n)[0]
+    return numbers[n]
 
 
 def bernoulli_number(n: int) -> Rational:
     """n-th Bernoulli number with B_1 = -1/2."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return _BERNOULLI_NUMBERS.get(n)
+    numbers = _BERNOULLI_NUMBERS
+    if n >= len(numbers):
+        numbers = _rebuild(n)[1]
+    return numbers[n]
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +255,7 @@ def series_coeffs_oracle(n_max: int, kind: str, x: Rational | int = 0) -> list[R
     Computes the first n_max+1 Taylor coefficients of 2e^{xt}/(e^t+1)
     (kind='euler') or t e^{xt}/(e^t-1) (kind='bernoulli', rewritten as
     e^{xt} / ((e^t-1)/t)) by exact truncated power-series division, then
-    scales by n!.  This never touches the recurrence path above, so the two
+    scales by n!.  This never touches the tangent table above, so the two
     can validate each other.
     """
     if n_max < 0:

@@ -26,7 +26,6 @@ __all__ = [
     "dc_sum",
     "alt_power_sum",
     "theorem8_rhs",
-    "restricted_lattice_sum",
     "lattice_partition",
 ]
 
@@ -146,30 +145,6 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
             term = n * _horner(b, r)
             total += term if (u + v + q) % 2 else -term
     return Fraction(2 * total, poly.den * m)
-
-
-def restricted_lattice_sum(p: int, h: int, k: int) -> Rational:
-    """2 sum over 0<=u<k, 0<=v<h with uh+vk < hk of (-1)^(u+v-1) E_p(u/k + v/h).
-
-    With n = uh + vk the argument is n/(hk), and (hk)^p D E_p(n/(hk)) is the
-    integer polynomial sum_i num_i n^i (hk)^(p-i), so the sum is
-    2 sum (-1)^(u+v-1) ((hk)^p D E_p(n/(hk))) / (D (hk)^p).
-    """
-    _require_positive("p", p)
-    _require_positive("h", h)
-    _require_positive("k", k)
-    m = h * k
-    poly = euler_poly(p)
-    b = poly.scaled(m)
-    total = 0
-    for u in range(k):
-        for v in range(h):
-            n = u * h + v * k
-            if n >= m:
-                break
-            term = _horner(b, n)
-            total += term if (u + v) % 2 else -term
-    return Fraction(2 * total, poly.den * m**p)
 
 
 def lattice_partition(h: int, k: int) -> tuple[list[int], list[int]]:

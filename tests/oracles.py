@@ -16,6 +16,7 @@ from math import factorial
 ORACLE_DEPTH = 40
 
 
+@lru_cache(maxsize=None)
 def pascal(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -134,16 +135,6 @@ def t8_rhs(p: int, h: int, k: int, periodic: bool) -> Fraction:
             value = ebar(p, arg) if periodic else euler_value(p, arg)
             total += sign * Fraction(u * h + v * k, h * k) * value
     return 2 * (h * k) ** p * total
-
-
-def lattice_sum(p: int, h: int, k: int) -> Fraction:
-    total = Fraction(0)
-    for u in range(k):
-        for v in range(h):
-            if u * h + v * k < h * k:
-                sign = -1 if (u + v) % 2 == 0 else 1
-                total += sign * euler_value(p, Fraction(u, k) + Fraction(v, h))
-    return 2 * total
 
 
 def upow2(a, xa, b, xb, p: int) -> Fraction:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from dcsums import (
     Poly,
+    appell,
     bernoulli_number,
     bernoulli_poly,
     euler_number,
@@ -51,12 +54,44 @@ def test_first_bernoulli_numbers():
     assert bernoulli_number(2) == Fraction(1, 6)
 
 
-def test_number_recurrences_match_series_oracle():
-    euler_series = series_coeffs_oracle(30, "euler")
-    bern_series = series_coeffs_oracle(30, "bernoulli")
-    for n in range(31):
+def fresh_number_tables(monkeypatch):
+    monkeypatch.setattr(appell, "_EULER_NUMBERS", ())
+    monkeypatch.setattr(appell, "_BERNOULLI_NUMBERS", ())
+
+
+def test_numbers_match_series_oracle(monkeypatch):
+    # From empty tables, counting up to 200 crosses several rebuilds.
+    fresh_number_tables(monkeypatch)
+    euler_series = series_coeffs_oracle(200, "euler")
+    bern_series = series_coeffs_oracle(200, "bernoulli")
+    for n in range(201):
         assert euler_number(n) == euler_series[n]
         assert bernoulli_number(n) == bern_series[n]
+
+
+def test_concurrent_growth_matches_single_thread_values(monkeypatch):
+    indices = (97, 198, 299, 400)
+    expected = {n: (euler_number(n), bernoulli_number(n)) for n in indices}
+    fresh_number_tables(monkeypatch)
+    barrier = threading.Barrier(len(indices))
+    results = {}
+
+    def work(n):
+        barrier.wait(timeout=10)
+        results[n] = (euler_number(n), bernoulli_number(n))
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in indices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
 
 
 def test_negative_index_rejected():
@@ -260,12 +295,13 @@ def test_binomial_sum_equals_exact_integral():
 
 
 def test_agreement_with_independent_test_oracle():
-    for n in range(20):
+    for n in range(oracles.ORACLE_DEPTH + 1):
         assert euler_number(n) == oracles.EULER_NUMBERS[n]
         assert bernoulli_number(n) == oracles.BERNOULLI_NUMBERS[n]
 
 
-def test_memo_prefix_is_stable():
-    before = euler_number(3)
-    euler_number(25)
-    assert euler_number(3) == before == Fraction(1, 4)
+def test_memo_prefix_is_stable(monkeypatch):
+    fresh_number_tables(monkeypatch)
+    before = euler_number(3), bernoulli_number(2)
+    euler_number(500)  # past the first rebuild
+    assert (euler_number(3), bernoulli_number(2)) == before == (Fraction(1, 4), Fraction(1, 6))

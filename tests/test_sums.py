@@ -12,7 +12,6 @@ from dcsums import (
     euler_poly,
     gen_dedekind_sum,
     lattice_partition,
-    restricted_lattice_sum,
     theorem8_rhs,
 )
 
@@ -176,23 +175,6 @@ def test_theorem8_rhs_matches_direct_oracle():
                     )
     for periodic in (True, False):
         assert theorem8_rhs(5, 7, 61, periodic) == oracles.t8_rhs(5, 7, 61, periodic)
-
-
-# --- restricted lattice sum ----------------------------------------------------
-
-def test_restricted_lattice_sum_values():
-    for p in (1, 2, 3, 5):
-        assert restricted_lattice_sum(p, 1, 1) == -2 * euler_number(p)
-    assert restricted_lattice_sum(1, 1, 3) == Fraction(1, 3)
-    assert restricted_lattice_sum(3, 1, 3) == Fraction(-1, 54)
-
-
-def test_restricted_lattice_sum_matches_direct_oracle():
-    for p in range(1, 10):
-        for h in (1, 2, 3, 5):
-            for k in (1, 3, 4, 7):
-                assert restricted_lattice_sum(p, h, k) == oracles.lattice_sum(p, h, k)
-    assert restricted_lattice_sum(7, 5, 201) == oracles.lattice_sum(7, 5, 201)
 
 
 # --- lattice partition -----------------------------------------------------------
