@@ -143,6 +143,14 @@ class Poly:
         return "".join(parts) if parts else "0"
 
 
+def _horner(b: tuple[int, ...], r: int) -> int:
+    """The integer polynomial with Horner vector b (as from ``Poly.scaled``) at r."""
+    acc = 0
+    for c in b:
+        acc = acc * r + c
+    return acc
+
+
 # E_0..E_N and B_0..B_N.  An index past the end rebuilds both from one
 # tangent table at least twice the size.  Each tuple is bound in a single
 # assignment, so a reader on another thread sees the old or the new tuple,

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .appell import Poly, euler_number, euler_poly, poly_integral
 from .rationals import Rational, binomial
 from .sums import alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
-from .umbral import theorem9_rhs
+from .umbral import lattice_power_sum, theorem9_rhs
 
 __all__ = [
     "IdentityCheck",
@@ -244,32 +244,14 @@ def _dc_eval1_rhs(p: int, m: int) -> Fraction:
 
 
 def _mixed_closed_lhs(p: int, h: int, k: int) -> Fraction:
-    return sum(
-        (
-            binomial(p, s)
-            * k ** (p - s)
-            * euler_number(s)
-            * h ** (p - s)
-            * euler_poly(p - s).eval(1)
-            for s in range(p + 1)
-        ),
-        Fraction(0),
-    )
+    terms = (binomial(p, s) * (h * k) ** (p - s) * euler_number(s) * euler_poly(p - s).eval(1)
+             for s in range(p + 1))
+    return sum(terms, Fraction(0))
 
 
 def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
-    total = Fraction(0)
-    for u in range(k):
-        inner = Fraction(0)
-        for s in range(p + 1):
-            inner += (
-                binomial(p, s)
-                * h**s
-                * euler_poly(s).eval(Fraction(u, k))
-                * euler_poly(p - s).eval(h - (h * u) // k)
-            )
-        total += inner if u % 2 == 0 else -inner
-    return k**p * total
+    """k^p sum_u (-1)^u sum_s C(p,s) h^s E_s(u/k) E_(p-s)(h - floor(hu/k)), as printed."""
+    return lattice_power_sum(p, h, k, lambda u, j: -1 if u % 2 else 1)
 
 
 def _addition_lhs(p: int, h: int, k: int) -> Fraction:

@@ -7,7 +7,7 @@ this module and re-checks it.  Here every summand is scaled onto one common
 denominator, so a sum accumulates Python ints in O(k) or O(hk) steps and
 builds a single ``Fraction`` at the end.  The scaling is the integer form of
 ``Poly`` (see its docstring): ``P.scaled(m)`` holds the Horner coefficients
-of r -> m^p D P(r/m), an integer polynomial in r, with D = ``P.den``.
+of r -> m^p D P(r/m), with D = ``P.den``, and ``appell._horner`` runs it.
 Coprimality is demanded only where the definition itself needs it; theorem
 hypotheses are enforced by the audit registry, not here.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .appell import bernoulli_poly, euler_poly
+from .appell import _horner, bernoulli_poly, euler_poly
 from .rationals import Rational
 
 __all__ = [
@@ -38,13 +38,6 @@ def _require_positive(name: str, value: int) -> None:
 def _require_coprime(h: int, k: int) -> None:
     if gcd(h, k) != 1:
         raise ValueError(f"arguments must be coprime, got gcd({h}, {k}) = {gcd(h, k)}")
-
-
-def _horner(b: tuple[int, ...], r: int) -> int:
-    acc = 0
-    for c in b:
-        acc = acc * r + c
-    return acc
 
 
 def dedekind_sum(h: int, k: int) -> Rational:

@@ -9,16 +9,21 @@ replaces each E_i^s by the Euler polynomial value E_s(x_i):
 and so on for more umbrae.  A single unshifted umbra recovers the plain
 Euler numbers: (E + 0)^p = E_p.  Duplicate umbra ids are rejected — there
 is no defined semantics for adding two shifted copies of one umbra.
+
+``lattice_power_sum`` is the one kernel behind the theorem 7 and 9 right
+sides.  It runs on the integer form of ``Poly``: over D = lcm_s den_s den_(p-s)
+each two-umbra power is t_u / D, with t_u an int built from the Horner vectors
+``E_s.scaled(k)`` at u and ``E_(p-s).scaled(1)`` at h - floor(hu/k).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Iterator, Sequence
+from math import factorial, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .appell import euler_number, euler_poly
-from .rationals import Rational
+from .appell import _horner, euler_number, euler_poly
+from .rationals import Rational, binomial
 
 __all__ = ["umbral_power", "theorem9_rhs"]
 
@@ -65,6 +70,21 @@ def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
     return total
 
 
+def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Rational:
+    """Sum over u in [0, k) of weight(u, j) (kh(E + u/k) + k(E' + h - j))^p, j = floor(hu/k)."""
+    polys = [euler_poly(s) for s in range(p + 1)]
+    dens = [polys[s].den * polys[p - s].den for s in range(p + 1)]
+    den = lcm(*dens)
+    terms = [(binomial(p, s) * h**s * k ** (p - s) * (den // dens[s]),
+              polys[s].scaled(k), polys[p - s].scaled(1)) for s in range(p + 1)]
+    total = 0
+    for u in range(k):
+        j = h * u // k
+        if w := weight(u, j):
+            total += w * sum(a * _horner(xu, u) * _horner(xc, h - j) for a, xu, xc in terms)
+    return Fraction(total, den)
+
+
 def theorem9_rhs(p: int, h: int, k: int) -> Rational:
     """Right side of the umbral reciprocity statement, for odd p.
 
@@ -78,12 +98,6 @@ def theorem9_rhs(p: int, h: int, k: int) -> Rational:
         raise ValueError(f"h and k must be positive, got ({h}, {k})")
     if p < 1 or p % 2 == 0:
         raise ValueError(f"power must be odd and positive, got {p}")
-    total = Fraction(0)
-    for u in range(k):
-        j = (h * u) // k
-        if (u - j) % 2 == 1:
-            total += umbral_power(
-                [(k * h, Fraction(u, k), 0), (k, Fraction(h - j), 1)], p
-            )
+    odd = lattice_power_sum(p, h, k, lambda u, j: (u - j) % 2)
     mixed = umbral_power([(h, 0, 0), (k, 0, 1)], p)
-    return 2 * total + mixed + (p + 2) * euler_number(p)
+    return 2 * odd + mixed + (p + 2) * euler_number(p)

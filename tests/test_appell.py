@@ -19,7 +19,6 @@ from dcsums import (
     poly_integral,
     series_coeffs_oracle,
 )
-from dcsums.sums import _horner
 
 import oracles
 
@@ -92,6 +91,22 @@ def test_concurrent_growth_matches_single_thread_values(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == expected
+
+
+def test_lookup_returns_the_tuple_it_built(monkeypatch):
+    # A smaller concurrent rebuild may bind the globals last; a lookup must
+    # answer from the tuples its own rebuild returned, not re-read a global.
+    expected = (euler_number(51), bernoulli_number(50))
+    fresh_number_tables(monkeypatch)
+    rebuild = appell._rebuild
+
+    def rebuild_then_lose_the_race(n):
+        built = rebuild(n)
+        appell._EULER_NUMBERS = appell._BERNOULLI_NUMBERS = ()
+        return built
+
+    monkeypatch.setattr(appell, "_rebuild", rebuild_then_lose_the_race)
+    assert (euler_number(51), bernoulli_number(50)) == expected
 
 
 def test_negative_index_rejected():
@@ -177,7 +192,7 @@ def test_integer_scaled_eval_matches_direct_sum(poly, x):
 def test_scaled_horner_vector_is_the_integer_form(poly, r, m):
     scale = m ** max(poly.degree, 0) * poly.den
     assert len(poly.scaled(m)) == len(poly.coeffs)
-    assert _horner(poly.scaled(m), r) == scale * _direct_value(poly, Fraction(r, m))
+    assert appell._horner(poly.scaled(m), r) == scale * _direct_value(poly, Fraction(r, m))
 
 
 def test_derivative_examples():

@@ -7,6 +7,7 @@ import pytest
 from dcsums import (
     euler_number,
     euler_poly,
+    get_check,
     theorem9_rhs,
     umbral_power,
 )
@@ -99,6 +100,20 @@ def test_theorem9_rhs_matches_independent_oracle():
         for h in (1, 2, 3, 5):
             for k in (1, 3, 4, 7):
                 assert theorem9_rhs(p, h, k) == oracles.t9_rhs(p, h, k)
+    # The lattice kernel up to p = 11, with even and non-coprime pairs.
+    for p in (7, 9, 11):
+        for h, k in [(1, 1), (2, 4), (4, 6), (6, 9), (3, 8), (5, 7), (8, 3), (12, 10), (9, 12)]:
+            assert theorem9_rhs(p, h, k) == oracles.t9_rhs(p, h, k)
+    assert theorem9_rhs(11, 13, 501) == oracles.t9_rhs(11, 13, 501)
+
+
+def test_thm7_rhs_matches_independent_oracle():
+    rhs = get_check("thm7").rhs
+    for p in (3, 5, 7, 9, 11):
+        for h, k in [(1, 1), (1, 3), (2, 5), (4, 9), (6, 9), (7, 3), (10, 7), (13, 11), (8, 12)]:
+            params = {"p": p, "h": h, "k": k}
+            assert rhs(p, h, k) == oracles.check_sides("thm7", params)[1], params
+    assert rhs(5, 4, 301) == oracles.check_sides("thm7", {"p": 5, "h": 4, "k": 301})[1]
 
 
 def test_theorem9_rhs_rejects_even_power():
