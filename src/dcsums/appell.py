@@ -10,8 +10,8 @@ tangent numbers T_m,
 and the polynomials from the binomial expansion around those numbers,
 E_n(x) = sum_l C(n,l) E_l x^(n-l).  ``series_coeffs_oracle`` re-derives the
 same values by truncated power-series division of the generating functions
-2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1); the tests and the audit engine use it
-to cross-check the tangent-table path.
+2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1); the tests and a demo use it to
+cross-check the tangent-table path.
 """
 
 from __future__ import annotations

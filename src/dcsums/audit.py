@@ -314,7 +314,7 @@ _register(
     "eq7_printed",
     ("n", "l"),
     lambda n, l: n >= 1 and l >= 0,
-    lambda n, l: alt_power_sum(n, l),
+    alt_power_sum,
     lambda n, l: (-1) ** (n % 2) * euler_poly(l).eval(n) + euler_number(l),
     "alternating power sum vs printed (-1)^n E_l(n) + E_l",
 )
@@ -323,7 +323,7 @@ _register(
     "eq7_corrected",
     ("n", "l"),
     lambda n, l: n >= 1 and l >= 0,
-    lambda n, l: alt_power_sum(n, l),
+    alt_power_sum,
     lambda n, l: (-1) ** ((n + 1) % 2) * euler_poly(l).eval(n) + euler_number(l),
     "alternating power sum vs corrected (-1)^(n+1) E_l(n) + E_l",
 )
@@ -350,7 +350,7 @@ _register(
     "eq12_13_printed",
     ("p",),
     lambda p: p >= 1 and p % 2 == 1,
-    lambda p: _integral_01_x_times_euler(p),
+    _integral_01_x_times_euler,
     lambda p: Fraction(0),
     "exact int_0^1 x E_p(x) dx vs the printed value 0",
 )
@@ -359,7 +359,7 @@ _register(
     "eq12_13_corrected",
     ("p",),
     lambda p: p >= 1 and p % 2 == 1,
-    lambda p: _integral_01_x_times_euler(p),
+    _integral_01_x_times_euler,
     _lemma1_corrected_value,
     "exact int_0^1 x E_p(x) dx vs corrected 2E_(p+2)/((p+1)(p+2))",
 )

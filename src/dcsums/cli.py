@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from .appell import bernoulli_number, euler_number, euler_poly
+from .appell import Poly, bernoulli_number, euler_number, euler_poly
 from .audit import ParamGrid, registry_ids, sweep
 from .periodic import euler_function
 from .rationals import format_rational, parse_rational
@@ -39,6 +39,36 @@ def _positive(text: str) -> int:
     return value
 
 
+# Lets argparse take a negative rational like -1/2 as a positional.
+_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
+
+# (name, help, positionals, value) per value command; a positional is
+# (name, argparse type[, help]), type None keeping a rational as text.  Each
+# value function looks library names up when called, so wrappers bound over
+# this module's globals after import see every call.
+_VALUE_COMMANDS = (
+    ("eulernum", "Euler number E_n", [("n", _nonneg)], lambda a: euler_number(a.n)),
+    ("eulerpoly", "Euler polynomial E_n(x)", [("n", _nonneg)], lambda a: euler_poly(a.n)),
+    ("bernoullinum", "Bernoulli number B_n", [("n", _nonneg)],
+     lambda a: bernoulli_number(a.n)),
+    ("eulerfn", "antiperiodic Euler function Ebar_p(x)",
+     [("p", _nonneg), ("x", None, "rational like 4/3 or -1/2")],
+     lambda a: euler_function(a.p, parse_rational(a.x))),
+    ("dedekind", "classical Dedekind sum S(h,k)", [("h", _positive), ("k", _positive)],
+     lambda a: dedekind_sum(a.h, a.k)),
+    ("gendedekind", "generalized Dedekind sum S_p(h,k)",
+     [("p", _positive), ("h", _positive), ("k", _positive)],
+     lambda a: gen_dedekind_sum(a.p, a.h, a.k)),
+    ("dcsum", "DC sum T_p(h,k)", [("p", _nonneg), ("h", _positive), ("k", _positive)],
+     lambda a: dc_sum(a.p, a.h, a.k)),
+)
+
+# The audit grid's maxima; their defaults live in ParamGrid.from_maxima only.
+_AUDIT_MAXIMA = (("pmax", _positive), ("hmax", _positive), ("kmax", _positive),
+                 ("nmax", _positive), ("lmax", _nonneg), ("mmax", _positive),
+                 ("smax", _positive))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcsums",
@@ -46,41 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eulernum", help="Euler number E_n")
-    p.add_argument("n", type=_nonneg)
-    p.set_defaults(func=_cmd_eulernum)
-
-    p = sub.add_parser("eulerpoly", help="Euler polynomial E_n(x)")
-    p.add_argument("n", type=_nonneg)
-    p.set_defaults(func=_cmd_eulerpoly)
-
-    p = sub.add_parser("bernoullinum", help="Bernoulli number B_n")
-    p.add_argument("n", type=_nonneg)
-    p.set_defaults(func=_cmd_bernoullinum)
-
-    p = sub.add_parser("eulerfn", help="antiperiodic Euler function Ebar_p(x)")
-    p.add_argument("p", type=_nonneg)
-    p.add_argument("x", help="rational like 4/3 or -1/2")
-    # Let argparse accept negative rationals like -1/2 as positionals.
-    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
-    p.set_defaults(func=_cmd_eulerfn)
-
-    p = sub.add_parser("dedekind", help="classical Dedekind sum S(h,k)")
-    p.add_argument("h", type=_positive)
-    p.add_argument("k", type=_positive)
-    p.set_defaults(func=_cmd_dedekind)
-
-    p = sub.add_parser("gendedekind", help="generalized Dedekind sum S_p(h,k)")
-    p.add_argument("p", type=_positive)
-    p.add_argument("h", type=_positive)
-    p.add_argument("k", type=_positive)
-    p.set_defaults(func=_cmd_gendedekind)
-
-    p = sub.add_parser("dcsum", help="DC sum T_p(h,k)")
-    p.add_argument("p", type=_nonneg)
-    p.add_argument("h", type=_positive)
-    p.add_argument("k", type=_positive)
-    p.set_defaults(func=_cmd_dcsum)
+    for name, text, positionals, value in _VALUE_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for arg, kind, *arg_help in positionals:
+            p.add_argument(arg, type=kind, help=arg_help[0] if arg_help else None)
+            if kind is None:
+                p._negative_number_matcher = _NEGATIVE_RATIONAL
+        p.set_defaults(func=_cmd_value, value=value)
 
     p = sub.add_parser("umbral", help="evaluate a fixed umbral form")
     p.add_argument(
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_positive)
     p.add_argument("--k", type=_positive)
     p.add_argument("--x", help="rational shift for --form Ex")
-    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+    p._negative_number_matcher = _NEGATIVE_RATIONAL
     p.set_defaults(func=_cmd_umbral)
 
     p = sub.add_parser("audit", help="run identity checks over a parameter grid")
@@ -104,13 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p", type=_positive, default=None,
                    help="audit a single p instead of the 1..pmax range")
-    p.add_argument("--pmax", type=_positive, default=7)
-    p.add_argument("--hmax", type=_positive, default=9)
-    p.add_argument("--kmax", type=_positive, default=9)
-    p.add_argument("--nmax", type=_positive, default=12)
-    p.add_argument("--lmax", type=_nonneg, default=8)
-    p.add_argument("--mmax", type=_positive, default=9)
-    p.add_argument("--smax", type=_positive, default=8)
+    for name, kind in _AUDIT_MAXIMA:
+        p.add_argument(f"--{name}", type=kind, default=argparse.SUPPRESS)
     p.add_argument("--odd-only", action="store_true")
     p.add_argument("--coprime-only", action="store_true")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -123,38 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eulernum(args: argparse.Namespace) -> int:
-    print(format_rational(euler_number(args.n)))
-    return 0
-
-
-def _cmd_eulerpoly(args: argparse.Namespace) -> int:
-    print(euler_poly(args.n))
-    return 0
-
-
-def _cmd_bernoullinum(args: argparse.Namespace) -> int:
-    print(format_rational(bernoulli_number(args.n)))
-    return 0
-
-
-def _cmd_eulerfn(args: argparse.Namespace) -> int:
-    print(format_rational(euler_function(args.p, parse_rational(args.x))))
-    return 0
-
-
-def _cmd_dedekind(args: argparse.Namespace) -> int:
-    print(format_rational(dedekind_sum(args.h, args.k)))
-    return 0
-
-
-def _cmd_gendedekind(args: argparse.Namespace) -> int:
-    print(format_rational(gen_dedekind_sum(args.p, args.h, args.k)))
-    return 0
-
-
-def _cmd_dcsum(args: argparse.Namespace) -> int:
-    print(format_rational(dc_sum(args.p, args.h, args.k)))
+def _cmd_value(args: argparse.Namespace) -> int:
+    value = args.value(args)
+    print(value if isinstance(value, Poly) else format_rational(value))
     return 0
 
 
@@ -194,17 +162,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         ids = [part.strip() for part in args.checks.split(",") if part.strip()]
         if not ids:
             raise ValueError("no checks selected")
-    grid = ParamGrid.from_maxima(
-        pmax=args.pmax,
-        hmax=args.hmax,
-        kmax=args.kmax,
-        nmax=args.nmax,
-        lmax=args.lmax,
-        mmax=args.mmax,
-        smax=args.smax,
-        odd_only=args.odd_only,
-        coprime_only=args.coprime_only,
-    )
+    given = {name: getattr(args, name) for name, _ in _AUDIT_MAXIMA if name in args}
+    grid = ParamGrid.from_maxima(**given, odd_only=args.odd_only, coprime_only=args.coprime_only)
     if args.p is not None:
         grid = dataclasses.replace(grid, p_values=(args.p,))
     if args.out:

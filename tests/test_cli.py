@@ -1,15 +1,18 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dcsums import cli, report_from_json
+from dcsums import ParamGrid, cli, report_from_json
 from dcsums.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +242,39 @@ def test_audit_checks_out_path_before_sweeping(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "audit", "--out", str(existing))
     assert code == 2 and err == "error: sweep failed\n"
     assert existing.read_text(encoding="utf-8") == "old report\n"
+
+
+def test_audit_grid_defaults_come_from_from_maxima(capsys, monkeypatch):
+    grids = []
+
+    def capture_grid(ids, grid):
+        grids.append(grid)
+        raise ValueError("grid captured")
+
+    monkeypatch.setattr(cli, "sweep", capture_grid)
+    assert run_cli(capsys, "audit")[0] == 2
+    assert run_cli(capsys, "audit", "--p", "3", "--hmax", "4")[0] == 2
+    assert grids[0] == ParamGrid.from_maxima()
+    assert grids[1] == dataclasses.replace(ParamGrid.from_maxima(hmax=4), p_values=(3,))
+
+
+def test_readme_cli_values(capsys):
+    # Every `dcsums ...` line of the README's CLI block whose comment is a
+    # value (a rational or a polynomial in x, optionally followed by a
+    # parenthetical) must print exactly that value.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        value = re.sub(r"\s+\(.*\)$", "", comment.strip())
+        if command.startswith("dcsums ") and re.fullmatch(r"[-+*/^ x0-9]+", value):
+            examples.append((command.split()[1:], value))
+    assert {argv[0] for argv, _ in examples} >= {
+        "eulernum", "eulerpoly", "bernoullinum", "eulerfn", "dedekind", "gendedekind", "dcsum",
+    }
+    for argv, value in examples:
+        assert run_cli(capsys, *argv) == (0, value + "\n", ""), argv
 
 
 COMMANDS = (

@@ -6,15 +6,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
 
-# The fast narrative demos; each asserts its own claims and must exit 0.
-# run_identity_audit.py and generate_findings.py each sweep the standard
-# grid, and the latter rewrites FINDINGS.md, so they are left out here;
-# generate_findings.py is run in process below with its output redirected.
+# The narrative demos; each must exit 0, and all but run_identity_audit.py
+# assert their own claims.
+# generate_findings.py rewrites FINDINGS.md, so it is left out here and run
+# in process below with its output redirected.
 FAST_DEMOS = (
     "euler_numbers_and_polynomials.py",
     "periodic_extensions.py",
     "dedekind_and_dc_sums.py",
     "umbral_expansions.py",
+    "run_identity_audit.py",
 )
 
 
