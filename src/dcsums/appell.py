@@ -7,11 +7,12 @@ tangent numbers T_m,
     E_(2m-1) = (-1)^m T_m / 2^(2m-1)
     B_(2m)   = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))        (m >= 1)
 
-and the polynomials from the binomial expansion around those numbers,
-E_n(x) = sum_l C(n,l) E_l x^(n-l).  ``series_coeffs_oracle`` re-derives the
-same values by truncated power-series division of the generating functions
-2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1); the tests and a demo use it to
-cross-check the tangent-table path.
+and both polynomial families from one Appell expansion around those numbers,
+E_n(x) = sum_l C(n,l) E_l x^(n-l), evaluated on integers by ``Poly.scaled``
+plus ``_horner`` (``Poly.eval`` included).  ``series_coeffs_oracle``
+re-derives the same values by truncated power-series division of the
+generating functions 2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1); the tests and a
+demo use it to cross-check the tangent-table path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .rationals import Rational, binomial, format_rational
 
@@ -48,9 +49,9 @@ class Poly:
 
         m^d den P(n/m) = sum_i num[i] n^i m^(d-i),
 
-    an integer polynomial in n evaluated by Horner's rule.  ``eval`` runs it
-    once per point; ``scaled`` returns its coefficients for callers that
-    evaluate many points over one fixed m.
+    an integer polynomial in n.  ``scaled`` gives its Horner coefficients and
+    ``_horner`` runs them at n; ``eval`` is the two at one point, and callers
+    that evaluate many points over one fixed m keep the ``scaled`` vector.
     """
 
     __slots__ = ("coeffs", "den", "num")
@@ -69,21 +70,13 @@ class Poly:
         return len(self.coeffs) - 1
 
     def eval(self, x: Rational | int) -> Rational:
-        """Exact P(x): an integer Horner pass in n for x = n/m, then one Fraction."""
-        x = Fraction(x)
-        n, m = x.numerator, x.denominator
-        acc, mpow = 0, 1
-        for c in reversed(self.num):
-            acc = acc * n + c * mpow
-            mpow *= m
-        # The loop leaves mpow = m^(d+1) (1 for the zero polynomial), so the
-        # extra factor m on top cancels it down to den m^d.
-        return Fraction(acc * m, self.den * mpow)
+        """Exact P(x): ``scaled`` and ``_horner`` at n for x = n/m, then one Fraction."""
+        n, m = x.as_integer_ratio()
+        return Fraction(_horner(self.scaled(m), n), self.den * m ** max(self.degree, 0))
 
     def scaled(self, m: int) -> tuple[int, ...]:
         """Horner coefficients, highest power first, of n -> m^d den P(n/m)."""
-        d = self.degree
-        return tuple(self.num[i] * m ** (d - i) for i in range(d, -1, -1))
+        return tuple([c * m**j for j, c in enumerate(reversed(self.num))])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -207,26 +200,23 @@ def bernoulli_number(n: int) -> Rational:
     return numbers[n]
 
 
+def _appell_poly(n: int, number: Callable[[int], Rational]) -> Poly:
+    """The Appell polynomial sum_l C(n,l) a_l x^(n-l) with a_l = number(l)."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    return Poly(reversed([binomial(n, l) * number(l) for l in range(n + 1)]))
+
+
 @lru_cache(maxsize=None)
 def euler_poly(n: int) -> Poly:
     """Euler polynomial E_n(x) = sum_l C(n,l) E_l x^(n-l)."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        coeffs[n - l] = binomial(n, l) * euler_number(l)
-    return Poly(coeffs)
+    return _appell_poly(n, euler_number)
 
 
 @lru_cache(maxsize=None)
 def bernoulli_poly(n: int) -> Poly:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = binomial(n, k) * bernoulli_number(k)
-    return Poly(coeffs)
+    return _appell_poly(n, bernoulli_number)
 
 
 def poly_derivative(p: Poly) -> Poly:

@@ -63,6 +63,13 @@ _VALUE_COMMANDS = (
      lambda a: dc_sum(a.p, a.h, a.k)),
 )
 
+# form -> (flags it takes besides --p, value), values as above.
+_UMBRAL_FORMS = {
+    "Ex": (("x",), lambda a: umbral_power([(1, parse_rational(a.x), 0)], a.p)),
+    "hEkE": (("h", "k"), lambda a: umbral_power([(a.h, 0, 0), (a.k, 0, 1)], a.p)),
+    "thm9rhs": (("h", "k"), lambda a: theorem9_rhs(a.p, a.h, a.k)),
+}
+
 # The audit grid's maxima; their defaults live in ParamGrid.from_maxima only.
 _AUDIT_MAXIMA = (("pmax", _positive), ("hmax", _positive), ("kmax", _positive),
                  ("nmax", _positive), ("lmax", _nonneg), ("mmax", _positive),
@@ -88,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--form",
         required=True,
-        choices=("Ex", "hEkE", "thm9rhs"),
+        choices=tuple(_UMBRAL_FORMS),
         help="Ex: (E+x)^p;  hEkE: (hE+kE')^p;  thm9rhs: full reciprocity right side",
     )
     p.add_argument("--p", type=_nonneg, required=True)
@@ -127,20 +134,12 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 
 def _cmd_umbral(args: argparse.Namespace) -> int:
-    if args.form == "Ex":
-        if args.x is None:
-            raise ValueError("--form Ex requires --x")
-        value = umbral_power([(1, parse_rational(args.x), 0)], args.p)
-    elif args.form == "hEkE":
-        if args.h is None or args.k is None:
-            raise ValueError("--form hEkE requires --h and --k")
-        value = umbral_power([(args.h, 0, 0), (args.k, 0, 1)], args.p)
-    else:  # thm9rhs
-        if args.h is None or args.k is None:
-            raise ValueError("--form thm9rhs requires --h and --k")
-        value = theorem9_rhs(args.p, args.h, args.k)
-    print(format_rational(value))
-    return 0
+    takes, args.value = _UMBRAL_FORMS[args.form]
+    for flag in ("h", "k", "x"):
+        if (flag in takes) != (getattr(args, flag) is not None):
+            verb = "requires" if flag in takes else "does not take"
+            raise ValueError(f"--form {args.form} {verb} --{flag}")
+    return _cmd_value(args)
 
 
 def _require_writable(path: str) -> None:
@@ -162,6 +161,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         ids = [part.strip() for part in args.checks.split(",") if part.strip()]
         if not ids:
             raise ValueError("no checks selected")
+    if args.p is not None and "pmax" in args:
+        raise ValueError("--p and --pmax exclude each other")
     given = {name: getattr(args, name) for name, _ in _AUDIT_MAXIMA if name in args}
     grid = ParamGrid.from_maxima(**given, odd_only=args.odd_only, coprime_only=args.coprime_only)
     if args.p is not None:

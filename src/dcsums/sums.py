@@ -8,6 +8,7 @@ denominator, so a sum accumulates Python ints in O(k) or O(hk) steps and
 builds a single ``Fraction`` at the end.  The scaling is the integer form of
 ``Poly`` (see its docstring): ``P.scaled(m)`` holds the Horner coefficients
 of r -> m^p D P(r/m), with D = ``P.den``, and ``appell._horner`` runs it.
+The classical Dedekind sum S(h,k) is computed as its p = 1 member S_1(h,k).
 Coprimality is demanded only where the definition itself needs it; theorem
 hypotheses are enforced by the audit registry, not here.
 """
@@ -43,18 +44,11 @@ def _require_coprime(h: int, k: int) -> None:
 def dedekind_sum(h: int, k: int) -> Rational:
     """Classical Dedekind sum S(h,k) = sum_{u=1}^{k-1} ((u/k)) ((hu/k)).
 
-    Requires gcd(h, k) = 1.  S(h, 1) = 0 (empty sum).  With r = hu mod k,
-    ((u/k)) ((hu/k)) = (2u-k)(2r-k) / (4k^2) when r != 0 and 0 when r = 0.
+    Requires gcd(h, k) = 1.  S(h, 1) = 0 (empty sum).  S(h,k) = S_1(h,k):
+    Bbar_1 = ((.)) off the integers, ah/k is never an integer for 0 < a < k,
+    and (a/k) - ((a/k)) = 1/2 adds (1/2) sum_a ((ah/k)) = 0.
     """
-    _require_positive("h", h)
-    _require_positive("k", k)
-    _require_coprime(h, k)
-    total = 0
-    for u in range(1, k):
-        r = h * u % k
-        if r:
-            total += (2 * u - k) * (2 * r - k)
-    return Fraction(total, 4 * k * k)
+    return gen_dedekind_sum(1, h, k)
 
 
 def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:

@@ -67,6 +67,8 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "eulernum", "-3")[0] == 2
     assert run_cli(capsys, "eulerfn", "3", "not-a-number")[0] == 2
     assert run_cli(capsys, "audit", "--checks", "thm42")[0] == 2
+    assert run_cli(capsys, "audit", "--p", "1", "--pmax", "5") == (
+        2, "", "error: --p and --pmax exclude each other\n")
 
 
 def test_help_exits_0(capsys):
@@ -84,7 +86,19 @@ def test_umbral_forms(capsys):
         capsys, "umbral", "--form", "thm9rhs", "--p", "3", "--h", "1", "--k", "3"
     )
     assert code == 0 and out == "-67/4\n"
-    assert run_cli(capsys, "umbral", "--form", "Ex", "--p", "3")[0] == 2
+    # Each form exits 2 on a flag it does not take and on one it needs but lacks.
+    needs = {"Ex": {"--x": "1/3"}, "hEkE": {"--h": "1", "--k": "3"},
+             "thm9rhs": {"--h": "1", "--k": "3"}}
+    for form, taken in needs.items():
+        for flag in ("--h", "--k", "--x"):
+            given = {f: v for f, v in taken.items() if f != flag}
+            if flag not in taken:
+                given[flag] = "2"
+            argv = ["umbral", "--form", form, "--p", "3"]
+            argv += [part for item in given.items() for part in item]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: --form {form} ") and err.endswith(f" {flag}\n"), argv
 
 
 def test_checks_lists_registry(capsys):
@@ -272,6 +286,7 @@ def test_readme_cli_values(capsys):
             examples.append((command.split()[1:], value))
     assert {argv[0] for argv, _ in examples} >= {
         "eulernum", "eulerpoly", "bernoullinum", "eulerfn", "dedekind", "gendedekind", "dcsum",
+        "umbral",
     }
     for argv, value in examples:
         assert run_cli(capsys, *argv) == (0, value + "\n", ""), argv
@@ -303,7 +318,7 @@ FLAG_VALUES = {
     "--out": st.sampled_from(("report.out", "", ".", "missing/report.out")),
 }
 # Placed right after "audit", so a drawn maximum can only shrink the default
-# grid or override a cap with a value from VALUES.
+# grid or override a cap with a value from VALUES; --pmax comes first.
 AUDIT_CAPS = ["--pmax", "3", "--hmax", "4", "--kmax", "4", "--nmax", "4",
               "--lmax", "3", "--mmax", "4", "--smax", "3"]
 
@@ -311,13 +326,15 @@ AUDIT_CAPS = ["--pmax", "3", "--hmax", "4", "--kmax", "4", "--nmax", "4",
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(COMMANDS))
-    argv = [command, *(AUDIT_CAPS if command == "audit" else [])]
     count = draw(st.just(ARITY.get(command, 0)) | st.integers(0, 3))
-    argv += draw(st.lists(VALUES, min_size=count, max_size=count))
+    argv = draw(st.lists(VALUES, min_size=count, max_size=count))
     flags = draw(st.permutations(FLAGS.get(command, ())))
     for flag in flags[: draw(st.integers(0, len(flags)))]:
         argv += [flag] if flag in SWITCHES else [flag, draw(FLAG_VALUES.get(flag, VALUES))]
-    return argv
+    if command == "audit":
+        # --p excludes --pmax, so a drawn --p keeps the other caps only.
+        argv = (AUDIT_CAPS[2:] if "--p" in argv else AUDIT_CAPS) + argv
+    return [command, *argv]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,

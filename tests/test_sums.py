@@ -32,7 +32,8 @@ def test_dedekind_sum_matches_direct_oracle():
         for h in range(1, 16):
             if gcd(h, k) == 1:
                 assert dedekind_sum(h, k) == oracles.dedekind(h, k)
-    assert dedekind_sum(3, 1001) == oracles.dedekind(3, 1001)
+    for h, k in ((3, 1001), (37, 20011), (7, 20000), (50, 9999)):
+        assert dedekind_sum(h, k) == oracles.dedekind(h, k)
 
 
 def test_dedekind_sum_requires_coprime_arguments():
