@@ -1,12 +1,14 @@
 """Registry of identity checks, evaluated exactly over parameter grids.
 
 Each registered check pins one claim: a left side, a right side, and the
-hypotheses under which the claim is asserted.  Checks come in ``_printed``
-form (the claim exactly as printed in the source material, typos and all)
-and, where the printed form is falsified by exact computation, a clearly
-separated ``_corrected`` variant established by brute-force oracle.  The
-engine never conflates the two: the point of a sweep is the exact rational
-residual of each instance, zero or not.
+hypotheses under which the claim is asserted.  The registry is one table of
+such rows, and a hypothesis or side that several claims share is written
+once, as a named predicate or function their rows use.  Checks come in
+``_printed`` form (the claim exactly as printed in the source material,
+typos and all) and, where the printed form is falsified by exact
+computation, a clearly separated ``_corrected`` variant established by
+brute-force oracle.  The engine never conflates the two: the point of a
+sweep is the exact rational residual of each instance, zero or not.
 
 Residuals are always lhs - rhs, with lhs the side holding the sum being
 characterized (a DC sum, a lattice sum, or the audited integral), so signs
@@ -16,6 +18,7 @@ become ``skipped`` entries rather than failures, keeping grids rectangular.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -84,6 +87,7 @@ class ParamGrid:
     ``odd_only`` restricts the modulus-like parameters h, k, m to odd
     values; ``coprime_only`` keeps only (h, k) pairs with gcd 1.  Tuples
     are enumerated lexicographically in each check's declared name order.
+    A value repeated within one range raises ValueError.
     """
 
     p_values: tuple[int, ...] = ()
@@ -120,6 +124,13 @@ class ParamGrid:
             odd_only=odd_only,
             coprime_only=coprime_only,
         )
+
+    def __post_init__(self) -> None:
+        # A repeated value would evaluate its tuples twice and double their tallies.
+        for name in PARAM_NAMES:
+            values = getattr(self, f"{name}_values")
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated value in {name}_values: {tuple(values)}")
 
     def values_for(self, name: str) -> tuple[int, ...]:
         values: tuple[int, ...] = getattr(self, f"{name}_values")
@@ -162,6 +173,15 @@ def _binomial_euler_sum(p: int) -> Fraction:
 
 def _lemma1_corrected_value(p: int) -> Fraction:
     return 2 * euler_number(p + 2) / Fraction((p + 1) * (p + 2))
+
+
+def _zero(p: int) -> Fraction:
+    return Fraction(0)
+
+
+def _scaled_dc_sum(p: int, m: int) -> Fraction:
+    """m^p T_p(1,m), the left side of cor4, prop5 and thm6."""
+    return m**p * dc_sum(p, 1, m)
 
 
 def _reciprocity_lhs(p: int, h: int, k: int) -> Fraction:
@@ -232,19 +252,9 @@ def _dc_split_sum_rhs(p: int, m: int) -> Fraction:
     return lead + middle + (p + 1) * euler_number(p)
 
 
-def _dc_eval1_rhs(p: int, m: int) -> Fraction:
-    total = sum(
-        (
-            binomial(p, i) * euler_poly(p - i).eval(1) * euler_number(i) * m ** (p - i)
-            for i in range(p + 1)
-        ),
-        Fraction(0),
-    )
-    return total + p * euler_number(p)
-
-
-def _mixed_closed_lhs(p: int, h: int, k: int) -> Fraction:
-    terms = (binomial(p, s) * (h * k) ** (p - s) * euler_number(s) * euler_poly(p - s).eval(1)
+def _closed_mixed_sum(p: int, x: int) -> Fraction:
+    """sum_s C(p,s) x^(p-s) E_s E_(p-s)(1): thm7's lhs at x = hk; thm6's rhs is it + p E_p."""
+    terms = (binomial(p, s) * x ** (p - s) * euler_number(s) * euler_poly(p - s).eval(1)
              for s in range(p + 1))
     return sum(terms, Fraction(0))
 
@@ -290,199 +300,96 @@ def _dedekind_recip_rhs(h: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The registry.
+# Hypotheses: each assumption that several checks share is one predicate.
 
-REGISTRY: dict[str, IdentityCheck] = {}
-
-
-def _register(
-    check_id: str,
-    param_names: tuple[str, ...],
-    hypotheses: Callable[..., bool],
-    lhs: Callable[..., Rational],
-    rhs: Callable[..., Rational],
-    description: str,
-) -> None:
-    if check_id in REGISTRY:
-        raise ValueError(f"duplicate check id {check_id!r}")
-    REGISTRY[check_id] = IdentityCheck(
-        check_id, param_names, hypotheses, lhs, rhs, description
-    )
+def _eq7_range(n: int, l: int) -> bool:
+    return n >= 1 and l >= 0
 
 
-_register(
-    "eq7_printed",
-    ("n", "l"),
-    lambda n, l: n >= 1 and l >= 0,
-    alt_power_sum,
-    lambda n, l: (-1) ** (n % 2) * euler_poly(l).eval(n) + euler_number(l),
-    "alternating power sum vs printed (-1)^n E_l(n) + E_l",
+def _odd_p(p: int) -> bool:
+    return p >= 1 and p % 2 == 1
+
+
+def _thm2_range(p: int, s: int) -> bool:
+    return _odd_p(p) and s >= 2 and s % 2 == 0
+
+
+def _odd_p_odd_m(p: int, m: int) -> bool:
+    return _odd_p(p) and m >= 1 and m % 2 == 1
+
+
+def _coprime(h: int, k: int) -> bool:
+    return h >= 1 and k >= 1 and gcd(h, k) == 1
+
+
+def _thm8_range(p: int, h: int, k: int) -> bool:
+    return p > 1 and _odd_p(p) and h >= 1 and k >= 1 and h % 2 == 1 and k % 2 == 1
+
+
+# ---------------------------------------------------------------------------
+# The registry: one row per check.  Lambdas look library functions up when
+# called, so wrappers bound over this module's globals see every call.
+
+_CHECKS = (
+    IdentityCheck("eq7_printed", ("n", "l"), _eq7_range, alt_power_sum,
+                  lambda n, l: (-1) ** (n % 2) * euler_poly(l).eval(n) + euler_number(l),
+                  "alternating power sum vs printed (-1)^n E_l(n) + E_l"),
+    IdentityCheck("eq7_corrected", ("n", "l"), _eq7_range, alt_power_sum,
+                  lambda n, l: (-1) ** ((n + 1) % 2) * euler_poly(l).eval(n) + euler_number(l),
+                  "alternating power sum vs corrected (-1)^(n+1) E_l(n) + E_l"),
+    IdentityCheck("eq10", ("p", "h", "k"), lambda p, h, k: p >= 0 and h >= 1 and k >= 1,
+                  _addition_lhs, _addition_rhs,
+                  "addition theorem E_p(x+y) = sum C(p,s) E_s(x) y^(p-s) at x=h/k, y=k/h"),
+    IdentityCheck("eq11", ("p", "m"), lambda p, m: p >= 0 and m >= 1 and m % 2 == 1,
+                  _multiplication_lhs, _multiplication_rhs,
+                  "multiplication theorem for odd m, instantiated at x = 1/(2m)"),
+    IdentityCheck("eq12_13_printed", ("p",), _odd_p, _integral_01_x_times_euler, _zero,
+                  "exact int_0^1 x E_p(x) dx vs the printed value 0"),
+    IdentityCheck("eq12_13_corrected", ("p",), _odd_p, _integral_01_x_times_euler,
+                  _lemma1_corrected_value,
+                  "exact int_0^1 x E_p(x) dx vs corrected 2E_(p+2)/((p+1)(p+2))"),
+    IdentityCheck("lemma1_printed", ("p",), _odd_p, _binomial_euler_sum, _zero,
+                  "sum C(p,s) E_s/(p-s+2) vs the printed value 0"),
+    IdentityCheck("lemma1_corrected", ("p",), _odd_p, _binomial_euler_sum,
+                  _lemma1_corrected_value,
+                  "sum C(p,s) E_s/(p-s+2) vs corrected 2E_(p+2)/((p+1)(p+2))"),
+    IdentityCheck("thm2_printed", ("p", "s"), lambda p, s: _thm2_range(p, s) and s > p,
+                  _derivative_sum_lhs, _derivative_sum_rhs,
+                  "derivative-at-1 sum identity under the printed range s > p"),
+    IdentityCheck("thm2_slt", ("p", "s"), lambda p, s: _thm2_range(p, s) and s < p,
+                  _derivative_sum_lhs, _derivative_sum_rhs,
+                  "derivative-at-1 sum identity under the s < p range the derivation uses"),
+    IdentityCheck("thm3", ("p", "m"), _odd_p_odd_m, lambda p, m: dc_sum(p, 1, m),
+                  _dc_closed_form_rhs,
+                  "T_p(1,m) vs closed form in E_v and E_(p-v+1)(m) - E_(p-v+1)"),
+    IdentityCheck("cor4", ("p", "m"), _odd_p_odd_m, _scaled_dc_sum, _dc_double_sum_rhs,
+                  "m^p T_p(1,m) vs the expanded double sum"),
+    IdentityCheck("prop5", ("p", "m"), _odd_p_odd_m, _scaled_dc_sum, _dc_split_sum_rhs,
+                  "m^p T_p(1,m) vs the split form ending in (p+1) E_p"),
+    IdentityCheck("thm6", ("p", "m"), lambda p, m: p > 1 and _odd_p_odd_m(p, m),
+                  _scaled_dc_sum, lambda p, m: _closed_mixed_sum(p, m) + p * euler_number(p),
+                  "m^p T_p(1,m) vs sum C(p,i) E_(p-i)(1) E_i m^(p-i) + p E_p"),
+    IdentityCheck("thm7", ("p", "h", "k"),
+                  lambda p, h, k: p > 1 and _odd_p(p) and k % 2 == 1 and _coprime(h, k),
+                  lambda p, h, k: _closed_mixed_sum(p, h * k), _mixed_double_rhs,
+                  "closed mixed Euler sum vs the k^p weighted double sum"),
+    IdentityCheck("thm8_periodic", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
+                  lambda p, h, k: theorem8_rhs(p, h, k, periodic=True),
+                  "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum with the periodic Euler "
+                  "function"),
+    IdentityCheck("thm8_poly", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
+                  lambda p, h, k: theorem8_rhs(p, h, k, periodic=False),
+                  "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum as printed (plain E_p)"),
+    IdentityCheck("thm9", ("p", "h", "k"),
+                  lambda p, h, k: p > 1 and _odd_p(p) and _coprime(h, k),
+                  _reciprocity_lhs, theorem9_rhs,
+                  "k^p T_p(h,k) + h^p T_p(k,h) vs the umbral right side"),
+    IdentityCheck("dedekind_recip", ("h", "k"), _coprime, _dedekind_recip_lhs,
+                  _dedekind_recip_rhs,
+                  "classical reciprocity S(h,k) + S(k,h) = -1/4 + (h^2+k^2+1)/(12hk)"),
 )
 
-_register(
-    "eq7_corrected",
-    ("n", "l"),
-    lambda n, l: n >= 1 and l >= 0,
-    alt_power_sum,
-    lambda n, l: (-1) ** ((n + 1) % 2) * euler_poly(l).eval(n) + euler_number(l),
-    "alternating power sum vs corrected (-1)^(n+1) E_l(n) + E_l",
-)
-
-_register(
-    "eq10",
-    ("p", "h", "k"),
-    lambda p, h, k: p >= 0 and h >= 1 and k >= 1,
-    _addition_lhs,
-    _addition_rhs,
-    "addition theorem E_p(x+y) = sum C(p,s) E_s(x) y^(p-s) at x=h/k, y=k/h",
-)
-
-_register(
-    "eq11",
-    ("p", "m"),
-    lambda p, m: p >= 0 and m >= 1 and m % 2 == 1,
-    _multiplication_lhs,
-    _multiplication_rhs,
-    "multiplication theorem for odd m, instantiated at x = 1/(2m)",
-)
-
-_register(
-    "eq12_13_printed",
-    ("p",),
-    lambda p: p >= 1 and p % 2 == 1,
-    _integral_01_x_times_euler,
-    lambda p: Fraction(0),
-    "exact int_0^1 x E_p(x) dx vs the printed value 0",
-)
-
-_register(
-    "eq12_13_corrected",
-    ("p",),
-    lambda p: p >= 1 and p % 2 == 1,
-    _integral_01_x_times_euler,
-    _lemma1_corrected_value,
-    "exact int_0^1 x E_p(x) dx vs corrected 2E_(p+2)/((p+1)(p+2))",
-)
-
-_register(
-    "lemma1_printed",
-    ("p",),
-    lambda p: p >= 1 and p % 2 == 1,
-    _binomial_euler_sum,
-    lambda p: Fraction(0),
-    "sum C(p,s) E_s/(p-s+2) vs the printed value 0",
-)
-
-_register(
-    "lemma1_corrected",
-    ("p",),
-    lambda p: p >= 1 and p % 2 == 1,
-    _binomial_euler_sum,
-    _lemma1_corrected_value,
-    "sum C(p,s) E_s/(p-s+2) vs corrected 2E_(p+2)/((p+1)(p+2))",
-)
-
-_register(
-    "thm2_printed",
-    ("p", "s"),
-    lambda p, s: p >= 1 and p % 2 == 1 and s >= 2 and s % 2 == 0 and s > p,
-    _derivative_sum_lhs,
-    _derivative_sum_rhs,
-    "derivative-at-1 sum identity under the printed range s > p",
-)
-
-_register(
-    "thm2_slt",
-    ("p", "s"),
-    lambda p, s: p >= 1 and p % 2 == 1 and s >= 2 and s % 2 == 0 and s < p,
-    _derivative_sum_lhs,
-    _derivative_sum_rhs,
-    "derivative-at-1 sum identity under the s < p range the derivation uses",
-)
-
-_register(
-    "thm3",
-    ("p", "m"),
-    lambda p, m: p >= 1 and p % 2 == 1 and m >= 1 and m % 2 == 1,
-    lambda p, m: dc_sum(p, 1, m),
-    _dc_closed_form_rhs,
-    "T_p(1,m) vs closed form in E_v and E_(p-v+1)(m) - E_(p-v+1)",
-)
-
-_register(
-    "cor4",
-    ("p", "m"),
-    lambda p, m: p >= 1 and p % 2 == 1 and m >= 1 and m % 2 == 1,
-    lambda p, m: m**p * dc_sum(p, 1, m),
-    _dc_double_sum_rhs,
-    "m^p T_p(1,m) vs the expanded double sum",
-)
-
-_register(
-    "prop5",
-    ("p", "m"),
-    lambda p, m: p >= 1 and p % 2 == 1 and m >= 1 and m % 2 == 1,
-    lambda p, m: m**p * dc_sum(p, 1, m),
-    _dc_split_sum_rhs,
-    "m^p T_p(1,m) vs the split form ending in (p+1) E_p",
-)
-
-_register(
-    "thm6",
-    ("p", "m"),
-    lambda p, m: p > 1 and p % 2 == 1 and m >= 1 and m % 2 == 1,
-    lambda p, m: m**p * dc_sum(p, 1, m),
-    _dc_eval1_rhs,
-    "m^p T_p(1,m) vs sum C(p,i) E_(p-i)(1) E_i m^(p-i) + p E_p",
-)
-
-_register(
-    "thm7",
-    ("p", "h", "k"),
-    lambda p, h, k: p > 1 and p % 2 == 1 and h >= 1 and k >= 1
-    and k % 2 == 1 and gcd(h, k) == 1,
-    _mixed_closed_lhs,
-    _mixed_double_rhs,
-    "closed mixed Euler sum vs the k^p weighted double sum",
-)
-
-_register(
-    "thm8_periodic",
-    ("p", "h", "k"),
-    lambda p, h, k: p > 1 and p % 2 == 1 and h >= 1 and k >= 1
-    and h % 2 == 1 and k % 2 == 1,
-    _reciprocity_lhs,
-    lambda p, h, k: theorem8_rhs(p, h, k, periodic=True),
-    "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum with the periodic Euler function",
-)
-
-_register(
-    "thm8_poly",
-    ("p", "h", "k"),
-    lambda p, h, k: p > 1 and p % 2 == 1 and h >= 1 and k >= 1
-    and h % 2 == 1 and k % 2 == 1,
-    _reciprocity_lhs,
-    lambda p, h, k: theorem8_rhs(p, h, k, periodic=False),
-    "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum as printed (plain E_p)",
-)
-
-_register(
-    "thm9",
-    ("p", "h", "k"),
-    lambda p, h, k: p > 1 and p % 2 == 1 and h >= 1 and k >= 1 and gcd(h, k) == 1,
-    _reciprocity_lhs,
-    theorem9_rhs,
-    "k^p T_p(h,k) + h^p T_p(k,h) vs the umbral right side",
-)
-
-_register(
-    "dedekind_recip",
-    ("h", "k"),
-    lambda h, k: h >= 1 and k >= 1 and gcd(h, k) == 1,
-    _dedekind_recip_lhs,
-    _dedekind_recip_rhs,
-    "classical reciprocity S(h,k) + S(k,h) = -1/4 + (h^2+k^2+1)/(12hk)",
-)
+REGISTRY: dict[str, IdentityCheck] = {check.id: check for check in _CHECKS}
 
 
 def standard_audit_grid() -> ParamGrid:
@@ -517,7 +424,7 @@ def get_check(check_id: str) -> IdentityCheck:
 
 
 def _evaluate(check: IdentityCheck, params: Mapping[str, int]) -> CheckResult:
-    ordered = {name: int(params[name]) for name in check.param_names}
+    ordered = {name: operator.index(params[name]) for name in check.param_names}
     if not check.hypotheses(**ordered):
         return CheckResult(check.id, ordered, None, None, None, False, True)
     lhs = Fraction(check.lhs(**ordered))
@@ -530,7 +437,8 @@ def run_check(check_id: str, params: Mapping[str, int]) -> CheckResult:
     """Evaluate one check instance exactly.
 
     Unknown ids raise ValueError; params must name exactly the check's
-    parameters.  A tuple violating the hypotheses yields a skipped result.
+    parameters, each an int (a float or str raises TypeError, never
+    truncated).  A tuple violating the hypotheses yields a skipped result.
     """
     check = get_check(check_id)
     if set(params) != set(check.param_names):

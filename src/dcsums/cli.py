@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (and, for ``audit``, when every non-skipped check
 holds); 1 when an audit leaves at least one nonzero residual; 2 for usage
-or precondition errors.  Rationals print in canonical form; reports are
+or precondition errors, including an audit that evaluates no instance of a
+selected check.  Rationals print in canonical form; reports are
 available as text, JSON, or CSV with stable schemas.
 """
 
@@ -25,15 +26,25 @@ from .umbral import theorem9_rhs, umbral_power
 __all__ = ["main", "console_main", "build_parser"]
 
 
+# ASCII digits only: int() alone would also take "1_0", "+3" and "١٢".
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    if _INTEGER.fullmatch(text.strip()) is None:
+        raise ValueError(text)  # argparse reports "invalid <type> value"
+    return int(text)
+
+
 def _nonneg(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -170,6 +181,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.out:
         _require_writable(args.out)
     report = sweep(ids, grid)
+    vacuous = [cid for cid, n in report.summary.items() if n["pass"] + n["fail"] == 0]
+    if vacuous:
+        raise ValueError(f"no instance evaluated for {', '.join(vacuous)}")
     if args.format == "json":
         payload = report_to_json(report)
     elif args.format == "csv":

@@ -22,8 +22,8 @@ __all__ = [
 
 Rational = Fraction
 
-# 'a' or 'a/b' with an optional leading minus; nothing else.
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+# 'a' or 'a/b' in ASCII digits with an optional leading minus; nothing else.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def binomial(n: int, k: int) -> int:

@@ -58,6 +58,10 @@ def test_run_check_validates_param_names():
         run_check("thm9", {"p": 3, "h": 1})
     with pytest.raises(ValueError):
         run_check("lemma1_printed", {"p": 1, "m": 3})
+    # A non-integer value is rejected, never truncated.
+    for bad in (2.7, "3"):
+        with pytest.raises(TypeError):
+            run_check("eq7_printed", {"n": 1, "l": bad})
 
 
 def test_reciprocity_instance_holds_exactly():
@@ -210,6 +214,9 @@ def test_sweep_rejects_duplicate_ids():
     grid = ParamGrid.from_maxima(hmax=3, kmax=3)
     with pytest.raises(ValueError, match="duplicate check ids"):
         sweep(["dedekind_recip", "dedekind_recip"], grid)
+    # A repeated grid value would double-count its tuples the same way.
+    with pytest.raises(ValueError, match="repeated value in p_values"):
+        sweep(["thm8_periodic"], ParamGrid(p_values=(3, 3), h_values=(1,), k_values=(3,)))
 
 
 @pytest.mark.parametrize(

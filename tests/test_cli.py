@@ -69,6 +69,15 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "audit", "--checks", "thm42")[0] == 2
     assert run_cli(capsys, "audit", "--p", "1", "--pmax", "5") == (
         2, "", "error: --p and --pmax exclude each other\n")
+    # An audit that evaluates no instance of a selected check proves nothing.
+    assert run_cli(capsys, "audit", "--checks", "thm2_slt", "--smax", "1") == (
+        2, "", "error: no instance evaluated for thm2_slt\n")
+    assert run_cli(capsys, "audit", "--checks", "thm7", "--pmax", "1") == (
+        2, "", "error: no instance evaluated for thm7\n")
+    # Numerals are ASCII digits with an optional minus, nothing else.
+    for argv in (["eulernum", "1_0"], ["eulernum", "+3"], ["eulernum", "\u0661\u0662"],
+                 ["dedekind", "1", "+3"], ["eulerfn", "3", "\u0661/\u0663"]):
+        assert run_cli(capsys, *argv)[:2] == (2, ""), argv
 
 
 def test_help_exits_0(capsys):
@@ -207,6 +216,10 @@ def test_audit_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = report_from_json(out_path.read_text(encoding="utf-8"))
     assert report.summary["dedekind_recip"]["fail"] == 0
+    vacuous_path = tmp_path / "vacuous.json"
+    code, out, _ = run_cli(capsys, "audit", "--checks", "thm7", "--pmax", "1",
+                           "--out", str(vacuous_path))
+    assert (code, out) == (2, "") and not vacuous_path.exists()
 
 
 def test_audit_rejects_duplicate_check_ids(capsys):

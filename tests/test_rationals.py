@@ -57,7 +57,9 @@ def test_parse_rational_accepts_canonical_and_unreduced_forms():
     assert parse_rational(" 1/3 ") == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "+3", "1/-2", "a/b", "1/2/3", "1/0", "--1"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "+3", "1/-2", "a/b", "1/2/3", "1/0", "--1", "\u0661/\u0663"]
+)
 def test_parse_rational_rejects_non_literals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
