@@ -1,25 +1,23 @@
 """Euler and Bernoulli numbers and polynomials with exact coefficients.
 
-Two genuinely different code paths are kept alive on purpose.  The
-production path builds both number sequences from one integer table of
-tangent numbers T_m,
+Both number sequences come from one integer table of tangent numbers T_m,
 
     E_(2m-1) = (-1)^m T_m / 2^(2m-1)
     B_(2m)   = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))        (m >= 1)
 
 and both polynomial families from one Appell expansion around those numbers,
 E_n(x) = sum_l C(n,l) E_l x^(n-l), evaluated on integers by ``Poly.scaled``
-plus ``_horner`` (``Poly.eval`` included).  ``series_coeffs_oracle``
-re-derives the same values by truncated power-series division of the
-generating functions 2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1); the tests and a
-demo use it to cross-check the tangent-table path.
+plus ``_horner`` (``Poly.eval`` included).  An independent path, truncated
+power-series division of the generating functions 2e^{xt}/(e^t+1) and
+t e^{xt}/(e^t-1), lives in ``tests/oracles.py``; the tests and a demo use it
+to cross-check this one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 from typing import Callable, Iterable
 
 from .rationals import Rational, binomial, format_rational
@@ -32,7 +30,6 @@ __all__ = [
     "bernoulli_poly",
     "poly_derivative",
     "poly_integral",
-    "series_coeffs_oracle",
 ]
 
 
@@ -235,41 +232,3 @@ def poly_integral(p: Poly) -> Poly:
         return Poly()
     return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
 
-
-def _series_div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    # Truncated power-series quotient; den[0] must be nonzero.
-    q: list[Fraction] = []
-    for n in range(len(num)):
-        s = num[n]
-        for i in range(n):
-            s -= q[i] * den[n - i]
-        q.append(s / den[0])
-    return q
-
-
-def series_coeffs_oracle(n_max: int, kind: str, x: Rational | int = 0) -> list[Rational]:
-    """Values [E_0(x), ..., E_{n_max}(x)] (or B_n(x)) from the generating series.
-
-    Computes the first n_max+1 Taylor coefficients of 2e^{xt}/(e^t+1)
-    (kind='euler') or t e^{xt}/(e^t-1) (kind='bernoulli', rewritten as
-    e^{xt} / ((e^t-1)/t)) by exact truncated power-series division, then
-    scales by n!.  This never touches the tangent table above, so the two
-    can validate each other.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    x = Fraction(x)
-    xpow = [Fraction(1)]
-    for _ in range(n_max):
-        xpow.append(xpow[-1] * x)
-    if kind == "euler":
-        num = [2 * xpow[n] / factorial(n) for n in range(n_max + 1)]
-        den = [Fraction(1, factorial(n)) for n in range(n_max + 1)]
-        den[0] += 1
-    elif kind == "bernoulli":
-        num = [xpow[n] / factorial(n) for n in range(n_max + 1)]
-        den = [Fraction(1, factorial(n + 1)) for n in range(n_max + 1)]
-    else:
-        raise ValueError(f"kind must be 'euler' or 'bernoulli', got {kind!r}")
-    q = _series_div(num, den)
-    return [q[n] * factorial(n) for n in range(n_max + 1)]

@@ -10,16 +10,15 @@ available as text, JSON, or CSV with stable schemas.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
 
+# audit and reporting are lazy modules: binding them here loads neither.
+from . import audit, reporting
 from .appell import Poly, bernoulli_number, euler_number, euler_poly
-from .audit import ParamGrid, registry_ids, sweep
 from .periodic import euler_function
 from .rationals import format_rational, parse_rational
-from .reporting import format_report_text, report_to_csv, report_to_json
 from .sums import dc_sum, dedekind_sum, gen_dedekind_sum
 from .umbral import theorem9_rhs, umbral_power
 
@@ -167,7 +166,7 @@ def _require_writable(path: str) -> None:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.checks is None:
-        ids = registry_ids()
+        ids = audit.registry_ids()
     else:
         ids = [part.strip() for part in args.checks.split(",") if part.strip()]
         if not ids:
@@ -175,21 +174,24 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.p is not None and "pmax" in args:
         raise ValueError("--p and --pmax exclude each other")
     given = {name: getattr(args, name) for name, _ in _AUDIT_MAXIMA if name in args}
-    grid = ParamGrid.from_maxima(**given, odd_only=args.odd_only, coprime_only=args.coprime_only)
+    grid = audit.ParamGrid.from_maxima(**given, odd_only=args.odd_only,
+                                       coprime_only=args.coprime_only)
     if args.p is not None:
+        import dataclasses  # not at module level: value queries would pay for inspect and ast
+
         grid = dataclasses.replace(grid, p_values=(args.p,))
     if args.out:
         _require_writable(args.out)
-    report = sweep(ids, grid)
+    report = audit.sweep(ids, grid)
     vacuous = [cid for cid, n in report.summary.items() if n["pass"] + n["fail"] == 0]
     if vacuous:
         raise ValueError(f"no instance evaluated for {', '.join(vacuous)}")
     if args.format == "json":
-        payload = report_to_json(report)
+        payload = reporting.report_to_json(report)
     elif args.format == "csv":
-        payload = report_to_csv(report)
+        payload = reporting.report_to_csv(report)
     else:
-        payload = format_report_text(report)
+        payload = reporting.format_report_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -200,7 +202,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_checks(args: argparse.Namespace) -> int:
-    for check_id in registry_ids():
+    for check_id in audit.registry_ids():
         print(check_id)
     return 0
 

@@ -4,7 +4,8 @@ Everything here is deliberately built from scratch: Euler/Bernoulli values
 come from truncated power-series division of the generating functions plus
 a Pascal-triangle binomial, and every sum is a direct enumeration.  None of
 it shares code with the package's production paths, so agreement between
-the two is evidence, not tautology.
+the two is evidence, not tautology.  The pure functions ``pascal``,
+``euler_value`` and ``dc`` are memoized.
 """
 
 from __future__ import annotations
@@ -36,25 +37,44 @@ def _series_quot(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
     return q
 
 
+def series_coeffs_oracle(n_max: int, kind: str, x=0) -> list[Fraction]:
+    """Values [E_0(x), ..., E_{n_max}(x)] (or B_n(x)) from the generating series.
+
+    Computes the first n_max+1 Taylor coefficients of 2e^{xt}/(e^t+1)
+    (kind='euler') or t e^{xt}/(e^t-1) (kind='bernoulli', rewritten as
+    e^{xt} / ((e^t-1)/t)) by exact truncated power-series division, then
+    scales by n!.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    x = Fraction(x)
+    if kind == "euler":
+        num = [2 * x**n / factorial(n) for n in range(n_max + 1)]
+        den = [Fraction(1, factorial(n)) for n in range(n_max + 1)]
+        den[0] += 1
+    elif kind == "bernoulli":
+        num = [x**n / factorial(n) for n in range(n_max + 1)]
+        den = [Fraction(1, factorial(n + 1)) for n in range(n_max + 1)]
+    else:
+        raise ValueError(f"kind must be 'euler' or 'bernoulli', got {kind!r}")
+    q = _series_quot(num, den)
+    return [q[n] * factorial(n) for n in range(n_max + 1)]
+
+
 def _euler_numbers_series(n_max: int) -> list[Fraction]:
-    num = [Fraction(2 if n == 0 else 0) for n in range(n_max + 1)]
-    den = [Fraction(1, factorial(n)) for n in range(n_max + 1)]
-    den[0] += 1
-    q = _series_quot(num, den)
-    return [q[n] * factorial(n) for n in range(n_max + 1)]
-
-
-def _bernoulli_numbers_series(n_max: int) -> list[Fraction]:
-    num = [Fraction(1 if n == 0 else 0) for n in range(n_max + 1)]
-    den = [Fraction(1, factorial(n + 1)) for n in range(n_max + 1)]
-    q = _series_quot(num, den)
-    return [q[n] * factorial(n) for n in range(n_max + 1)]
+    # The benchmark's oracle for `dcsums eulernum` (perfbench/workloads.py).
+    return series_coeffs_oracle(n_max, "euler")
 
 
 EULER_NUMBERS = _euler_numbers_series(ORACLE_DEPTH)
-BERNOULLI_NUMBERS = _bernoulli_numbers_series(ORACLE_DEPTH)
+BERNOULLI_NUMBERS = series_coeffs_oracle(ORACLE_DEPTH, "bernoulli")
 
 
+# Bounded: a direct sum over a large k (dc, t9_rhs) evaluates tens of
+# thousands of distinct points once each, and an unbounded memo keeps them
+# all.  1024 entries keep 35 408 of the 37 342 hits that one check_sides pass
+# over the standard-grid report gets from an unbounded one.
+@lru_cache(maxsize=1024)
 def euler_value(p: int, x) -> Fraction:
     """E_p(x) from series-derived numbers and the Pascal-triangle binomial."""
     x = Fraction(x)
@@ -110,6 +130,7 @@ def gen_dedekind(p: int, h: int, k: int) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def dc(p: int, h: int, k: int) -> Fraction:
     total = Fraction(0)
     for u in range(1, k):

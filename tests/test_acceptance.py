@@ -28,7 +28,6 @@ from dcsums import (
     report_to_csv,
     report_to_json,
     run_check,
-    series_coeffs_oracle,
     standard_audit_grid,
     sweep,
 )
@@ -36,6 +35,7 @@ from dcsums.appell import Poly
 from dcsums.cli import main as cli_main
 
 import oracles
+from oracles import series_coeffs_oracle
 
 import random
 

@@ -17,7 +17,6 @@ from dcsums import (
     euler_poly,
     poly_derivative,
     poly_integral,
-    series_coeffs_oracle,
 )
 
 import oracles
@@ -61,8 +60,8 @@ def fresh_number_tables(monkeypatch):
 def test_numbers_match_series_oracle(monkeypatch):
     # From empty tables, counting up to 200 crosses several rebuilds.
     fresh_number_tables(monkeypatch)
-    euler_series = series_coeffs_oracle(200, "euler")
-    bern_series = series_coeffs_oracle(200, "bernoulli")
+    euler_series = oracles.series_coeffs_oracle(200, "euler")
+    bern_series = oracles.series_coeffs_oracle(200, "bernoulli")
     for n in range(201):
         assert euler_number(n) == euler_series[n]
         assert bernoulli_number(n) == bern_series[n]
@@ -264,39 +263,6 @@ def test_addition_theorem_property(x, y, p):
         comb(p, s) * euler_poly(s).eval(x) * y ** (p - s) for s in range(p + 1)
     )
     assert euler_poly(p).eval(x + y) == expected
-
-
-# --- Series oracle ----------------------------------------------------------
-
-def test_series_oracle_examples():
-    assert series_coeffs_oracle(3, "euler", 0) == [
-        Fraction(1),
-        Fraction(-1, 2),
-        Fraction(0),
-        Fraction(1, 4),
-    ]
-    assert series_coeffs_oracle(1, "euler", 1) == [Fraction(1), Fraction(1, 2)]
-    assert series_coeffs_oracle(2, "bernoulli", 0) == [
-        Fraction(1),
-        Fraction(-1, 2),
-        Fraction(1, 6),
-    ]
-
-
-def test_series_oracle_matches_polynomials_at_points():
-    for x in (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2)):
-        es = series_coeffs_oracle(10, "euler", x)
-        bs = series_coeffs_oracle(10, "bernoulli", x)
-        for n in range(11):
-            assert es[n] == euler_poly(n).eval(x)
-            assert bs[n] == bernoulli_poly(n).eval(x)
-
-
-def test_series_oracle_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        series_coeffs_oracle(-1, "euler")
-    with pytest.raises(ValueError):
-        series_coeffs_oracle(3, "genocchi")
 
 
 def test_binomial_sum_equals_exact_integral():

@@ -253,7 +253,7 @@ def test_audit_checks_out_path_before_sweeping(tmp_path, capsys, monkeypatch):
     def sweep_must_not_run(*args, **kwargs):
         raise AssertionError("sweep ran before --out was checked")
 
-    monkeypatch.setattr(cli, "sweep", sweep_must_not_run)
+    monkeypatch.setattr(cli.audit, "sweep", sweep_must_not_run)
     for target in (tmp_path / "missing" / "x.csv", tmp_path):
         code, out, err = run_cli(capsys, "audit", "--out", str(target))
         assert code == 2 and out == ""
@@ -265,7 +265,7 @@ def test_audit_checks_out_path_before_sweeping(tmp_path, capsys, monkeypatch):
 
     existing = tmp_path / "report.csv"
     existing.write_text("old report\n", encoding="utf-8")
-    monkeypatch.setattr(cli, "sweep", failing_sweep)
+    monkeypatch.setattr(cli.audit, "sweep", failing_sweep)
     code, out, err = run_cli(capsys, "audit", "--out", str(existing))
     assert code == 2 and err == "error: sweep failed\n"
     assert existing.read_text(encoding="utf-8") == "old report\n"
@@ -278,7 +278,7 @@ def test_audit_grid_defaults_come_from_from_maxima(capsys, monkeypatch):
         grids.append(grid)
         raise ValueError("grid captured")
 
-    monkeypatch.setattr(cli, "sweep", capture_grid)
+    monkeypatch.setattr(cli.audit, "sweep", capture_grid)
     assert run_cli(capsys, "audit")[0] == 2
     assert run_cli(capsys, "audit", "--p", "3", "--hmax", "4")[0] == 2
     assert grids[0] == ParamGrid.from_maxima()
