@@ -130,7 +130,7 @@ class Poly:
                 parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(f" + {term}" if c > 0 else f" - {term}")
-        return "".join(parts) if parts else "0"
+        return "".join(parts)
 
 
 def _horner(b: tuple[int, ...], r: int) -> int:

@@ -55,7 +55,7 @@ class IdentityCheck:
     hypotheses: Callable[..., bool]
     lhs: Callable[..., Rational]
     rhs: Callable[..., Rational]
-    description: str = ""
+    description: str
 
 
 @dataclass(frozen=True)

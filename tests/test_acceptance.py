@@ -199,7 +199,7 @@ def test_criterion_08_dedekind_reciprocity_to_50():
 STANDARD_SHA256 = "c261e0b015e753e3156d9c47f464b9c78b2b590cea740ea66f9186eb875f776e"
 
 
-def test_criterion_09_full_audit_sweep():
+def test_criterion_09_full_audit_sweep(findings_generator):
     start = time.perf_counter()
     grid = standard_audit_grid()
     ids = registry_ids()
@@ -226,16 +226,20 @@ def test_criterion_09_full_audit_sweep():
     assert evaluated > 1000
 
     # Residual patterns are committed in the findings document; its summary
-    # table must agree with a fresh sweep, and equality is NOT asserted for
-    # the printed reciprocity chain.
+    # table must agree with a fresh sweep, and every check the generator's
+    # CLAIMS table does not mark as holding everywhere does fail on this grid.
     findings = (ROOT / "FINDINGS.md").read_text(encoding="utf-8")
     rows = dict()
     for match in re.finditer(r"^\| (\w+) \| (\d+) \| (\d+) \| (\d+) \|$", findings, re.M):
         rows[match.group(1)] = tuple(int(match.group(i)) for i in (2, 3, 4))
-    for check_id in ("thm3", "cor4", "prop5", "thm6", "thm7", "thm8_poly", "thm9"):
+    assert sorted(rows) == sorted(findings_generator.CLAIMS) == ids
+    for check_id, claim in findings_generator.CLAIMS.items():
         counts = report.summary[check_id]
         assert rows[check_id] == (counts["pass"], counts["fail"], counts["skip"])
-        assert counts["fail"] > 0  # these printed forms do fail on this grid
+        if claim.holds is findings_generator.ALL:
+            assert counts["fail"] == 0, check_id
+        else:
+            assert counts["fail"] > 0, check_id
     report_pass(9, f"full sweep of {len(report.results)} instances in {elapsed:.2f}s, "
                    "deterministic, oracle-consistent, findings in sync")
 

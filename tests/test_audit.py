@@ -200,7 +200,7 @@ def test_grid_filters():
     assert all(h % 2 == 1 and k % 2 == 1 for h, k in pairs)
 
 
-def test_sweep_is_deterministic_and_parallel_safe():
+def test_sweep_is_deterministic():
     grid = ParamGrid.from_maxima(pmax=5, hmax=5, kmax=5, odd_only=True, coprime_only=True)
     ids = ["thm8_periodic", "thm9", "dedekind_recip"]
     serial_json = report_to_json(sweep(ids, grid))
@@ -219,24 +219,54 @@ def test_sweep_rejects_duplicate_ids():
         sweep(["thm8_periodic"], ParamGrid(p_values=(3, 3), h_values=(1,), k_values=(3,)))
 
 
-@pytest.mark.parametrize(
-    ("check_id", "predicate", "hk_max", "evaluated"),
-    [
-        # FINDINGS.md: the printed (plain E_p) double sum agrees with the
-        # DC-sum side exactly while every argument u/k + v/h stays below 1.
-        pytest.param("thm8_poly", lambda h, k: min(h, k) == 1, 31, 1280, id="thm8_poly"),
-        # FINDINGS.md: the printed mixed double sum holds only when k = 1 or
-        # h = 1 (mod k); its hypotheses skip the non-coprime pairs.
-        pytest.param("thm7", lambda h, k: k == 1 or h % k == 1, 61, 3945, id="thm7"),
-    ],
-)
-def test_printed_form_holds_exactly_where_findings_say(check_id, predicate, hk_max, evaluated):
+def _odd_hk(p_values, hk_max, coprime_only=False):
     odd = tuple(range(1, hk_max + 1, 2))
-    grid = ParamGrid(p_values=(3, 5, 7, 9, 11), h_values=odd, k_values=odd)
-    results = [r for r in sweep([check_id], grid).results if not r.skipped]
-    assert len(results) == evaluated
-    for r in results:
-        assert r.holds == predicate(r.params["h"], r.params["k"]), r.params
+    return ParamGrid(p_values=p_values, h_values=odd, k_values=odd, coprime_only=coprime_only)
+
+
+_ODD_P = (3, 5, 7, 9, 11)
+_NL = ParamGrid.from_maxima(nmax=40, lmax=16)
+_P15 = ParamGrid.from_maxima(pmax=15, smax=20)
+_PM = ParamGrid.from_maxima(pmax=11, mmax=41, odd_only=True)
+
+# Each check of the generator's CLAIMS table on a grid wider than the
+# standard one, with the number of tuples its hypotheses let through.
+WIDER = {
+    "eq7_printed": (_NL, 680),
+    "eq7_corrected": (_NL, 680),
+    "eq10": (ParamGrid.from_maxima(pmax=11, hmax=15, kmax=15), 2475),
+    "eq11": (ParamGrid(p_values=tuple(range(12)), m_values=tuple(range(1, 42, 2))), 252),
+    "eq12_13_printed": (_P15, 8),
+    "eq12_13_corrected": (_P15, 8),
+    "lemma1_printed": (_P15, 8),
+    "lemma1_corrected": (_P15, 8),
+    "thm2_printed": (_P15, 52),
+    "thm2_slt": (_P15, 28),
+    "thm3": (_PM, 126),
+    "cor4": (_PM, 126),
+    "prop5": (_PM, 126),
+    "thm6": (_PM, 105),
+    "thm7": (_odd_hk(_ODD_P, 61), 3945),
+    "thm8_periodic": (_odd_hk((3, 5, 7, 9), 31), 1024),
+    "thm8_poly": (_odd_hk(_ODD_P, 31), 1280),
+    "thm9": (_odd_hk(_ODD_P, 41, coprime_only=True), 1785),
+    "dedekind_recip": (ParamGrid.from_maxima(hmax=79, kmax=79), 3867),
+}
+# The checks each RELATIONS entry ties together, swept on one shared grid.
+RELATED = [("prop5", "cor4"), ("cor4", "thm3")]
+
+
+@pytest.mark.parametrize("ids", [(check_id,) for check_id in WIDER] + RELATED, ids="~".join)
+def test_printed_form_holds_exactly_where_findings_say(findings_generator, ids):
+    claims, relations = findings_generator.CLAIMS, findings_generator.RELATIONS
+    assert sorted(WIDER) == sorted(claims) == registry_ids()
+    assert RELATED == [(a, b) for a, b, _ in relations]
+    report = sweep(list(ids), WIDER[ids[0]][0])
+    for check_id in ids:
+        counts = report.summary[check_id]
+        assert counts["pass"] + counts["fail"] == WIDER[check_id][1], check_id
+    # Every fact a row quotes lies on its wider grid, so none is vacuous.
+    assert findings_generator.assert_claims(report) == sum(len(claims[i].facts) for i in ids)
 
 
 def test_iter_params_leaves_no_garbage_cycles():

@@ -1,4 +1,3 @@
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,14 +26,9 @@ def test_fast_demos_run():
         assert proc.returncode == 0, f"{name}:\n{proc.stderr}"
 
 
-def test_generate_findings_reproduces_committed_document(tmp_path):
+def test_generate_findings_reproduces_committed_document(findings_generator, tmp_path, monkeypatch):
     # Run the generator with its output redirected, so the committed
     # FINDINGS.md is compared, never rewritten.
-    spec = importlib.util.spec_from_file_location(
-        "generate_findings", DEMOS / "generate_findings.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.OUT = tmp_path / "FINDINGS.md"
-    module.main()
-    assert module.OUT.read_bytes() == (ROOT / "FINDINGS.md").read_bytes()
+    monkeypatch.setattr(findings_generator, "OUT", tmp_path / "FINDINGS.md")
+    findings_generator.main()
+    assert findings_generator.OUT.read_bytes() == (ROOT / "FINDINGS.md").read_bytes()
