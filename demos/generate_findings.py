@@ -128,6 +128,21 @@ CLAIMS = {
     "dedekind_recip": Claim(ALL),
 }
 
+# The section on the ALL rows of CLAIMS; tests/test_demos.py asserts that the
+# **id** names in it are exactly those rows.
+WHOLE_GRID = """\
+## Identities that hold on the whole grid
+
+- **eq10** (addition theorem), **eq11** (multiplication theorem, odd m),
+  **eq7_corrected**, **eq12_13_corrected**, **lemma1_corrected**,
+  **thm2_slt** (the even `s < p` range), and **dedekind_recip** (classical
+  Dedekind reciprocity) hold with residual 0 at every evaluated tuple.
+- **thm8_periodic** holds at every evaluated tuple: with the antiperiodic
+  Euler function inside the double sum, the reciprocity identity
+  `k^p T_p(h,k) + h^p T_p(k,h) = 2(hk)^p sum (-1)^(u+v-1) ((uh+vk)/(hk))
+  Ebar_p(u/k + v/h)` is exact for all odd h, k swept.
+"""
+
 # (a, b, scale): at every tuple, a's residual is b's residual times scale(**params).
 RELATIONS = (
     ("prop5", "cor4", lambda p, m: 1),
@@ -170,6 +185,8 @@ def sample_failures(results, check_id, limit=3):
 
 
 def main() -> None:
+    if not __debug__:
+        sys.exit("error: python -O strips the asserts that check every claim; run without -O")
     report = sweep(registry_ids(), standard_audit_grid())
     assert_claims(report)
 
@@ -179,20 +196,7 @@ def main() -> None:
         counts = report.summary[check_id]
         lines.append(f"| {check_id} | {counts['pass']} | {counts['fail']} | {counts['skip']} |")
 
-    lines.append("""
-## Identities that hold on the whole grid
-
-- **eq10** (addition theorem), **eq11** (multiplication theorem, odd m),
-  **eq7_corrected**, **eq12_13_corrected**, **lemma1_corrected**,
-  **thm2_slt** (the even `s < p` range), and **dedekind_recip** (classical
-  Dedekind reciprocity) hold with residual 0 at every evaluated tuple.
-- **thm8_periodic** holds at every evaluated tuple: with the antiperiodic
-  Euler function inside the double sum, the reciprocity identity
-  `k^p T_p(h,k) + h^p T_p(k,h) = 2(hk)^p sum (-1)^(u+v-1) ((uh+vk)/(hk))
-  Ebar_p(u/k + v/h)` is exact for all odd h, k swept.
-
-## Printed forms falsified by exact evaluation
-""")
+    lines.append("\n" + WHOLE_GRID + "\n## Printed forms falsified by exact evaluation\n")
 
     for check_id, claim in CLAIMS.items():
         if claim.prose is not None:

@@ -158,6 +158,13 @@ class ParamGrid:
 # ---------------------------------------------------------------------------
 # Shared building blocks for the registered checks.
 
+def _umbral(p: int, a: Callable[[int], Rational], b: Callable[[int], Rational]) -> Fraction:
+    """(A + B)^p = sum_s C(p,s) a(s) b(p-s), reading A^s as a(s) and B^j as b(j);
+    b(p-s) is not consulted where C(p,s) a(s) = 0 (half the Euler numbers)."""
+    terms = (c * b(p - s) for s in range(p + 1) if (c := binomial(p, s) * a(s)))
+    return sum(terms, Fraction(0))
+
+
 def _integral_01_x_times_euler(p: int) -> Fraction:
     # Exact int_0^1 x E_p(x) dx by term-wise polynomial integration.
     q = poly_integral(Poly([0, 1]) * euler_poly(p))
@@ -165,10 +172,7 @@ def _integral_01_x_times_euler(p: int) -> Fraction:
 
 
 def _binomial_euler_sum(p: int) -> Fraction:
-    return sum(
-        (binomial(p, s) * euler_number(s) / Fraction(p - s + 2) for s in range(p + 1)),
-        Fraction(0),
-    )
+    return _umbral(p, euler_number, lambda j: Fraction(1, j + 2))
 
 
 def _lemma1_corrected_value(p: int) -> Fraction:
@@ -189,13 +193,7 @@ def _reciprocity_lhs(p: int, h: int, k: int) -> Fraction:
 
 
 def _derivative_sum_lhs(p: int, s: int) -> Fraction:
-    return sum(
-        (
-            Fraction(binomial(p, v) * binomial(p - v + 1, s)) * euler_number(v)
-            for v in range(p + 1)
-        ),
-        Fraction(0),
-    )
+    return _umbral(p, euler_number, lambda j: binomial(j + 1, s))
 
 
 def _derivative_sum_rhs(p: int, s: int) -> Fraction:
@@ -207,56 +205,31 @@ def _derivative_sum_rhs(p: int, s: int) -> Fraction:
     return -c * euler_number(p - s)
 
 
+# The DC-sum sides below are (E + B)^p for a B^j built from index j = p - v.
+
 def _dc_closed_form_rhs(p: int, m: int) -> Fraction:
-    total = Fraction(0)
-    for v in range(p + 1):
-        diff = euler_poly(p - v + 1).eval(m) - euler_number(p - v + 1)
-        total += (
-            binomial(p, v)
-            * euler_number(v)
-            * Fraction(1, m ** (p + 1 - v))
-            * diff
-        )
-    return total
+    return _umbral(p, euler_number, lambda j: Fraction(
+        euler_poly(j + 1).eval(m) - euler_number(j + 1), m ** (j + 1)))
 
 
 def _dc_double_sum_rhs(p: int, m: int) -> Fraction:
-    total = Fraction(0)
-    for v in range(p + 1):
-        inner = sum(
-            (
-                Fraction(binomial(p - v + 1, i)) * euler_number(i) * m ** (p - i)
-                for i in range(p - v + 1)
-            ),
-            Fraction(0),
-        )
-        total += binomial(p, v) * euler_number(v) * inner
-    return total
+    return _umbral(p, euler_number, lambda j: sum(
+        (binomial(j + 1, i) * euler_number(i) * m ** (p - i) for i in range(j + 1)),
+        Fraction(0)))
 
 
 def _dc_split_sum_rhs(p: int, m: int) -> Fraction:
-    lead = sum(
-        (Fraction(binomial(p, v)) * euler_number(v) for v in range(p + 1)),
-        Fraction(0),
-    ) * m**p
-    middle = Fraction(0)
-    for i in range(1, p - 1):
-        for v in range(p - i + 1):
-            middle += (
-                binomial(p, v)
-                * euler_number(v)
-                * binomial(p - v + 1, i)
-                * euler_number(i)
-                * m ** (p - i)
-            )
-    return lead + middle + (p + 1) * euler_number(p)
+    # The middle sum runs over 1 <= i <= p - 2 and v <= p - i, that is i <= j.
+    middle = _umbral(p, euler_number, lambda j: sum(
+        (binomial(j + 1, i) * euler_number(i) * m ** (p - i)
+         for i in range(1, min(j, p - 2) + 1)),
+        Fraction(0)))
+    return _umbral(p, euler_number, lambda j: 1) * m**p + middle + (p + 1) * euler_number(p)
 
 
 def _closed_mixed_sum(p: int, x: int) -> Fraction:
     """sum_s C(p,s) x^(p-s) E_s E_(p-s)(1): thm7's lhs at x = hk; thm6's rhs is it + p E_p."""
-    terms = (binomial(p, s) * x ** (p - s) * euler_number(s) * euler_poly(p - s).eval(1)
-             for s in range(p + 1))
-    return sum(terms, Fraction(0))
+    return _umbral(p, euler_number, lambda j: x**j * euler_poly(j).eval(1))
 
 
 def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
@@ -271,10 +244,7 @@ def _addition_lhs(p: int, h: int, k: int) -> Fraction:
 
 def _addition_rhs(p: int, h: int, k: int) -> Fraction:
     x, y = Fraction(h, k), Fraction(k, h)
-    return sum(
-        (binomial(p, s) * euler_poly(s).eval(x) * y ** (p - s) for s in range(p + 1)),
-        Fraction(0),
-    )
+    return _umbral(p, lambda s: euler_poly(s).eval(x), lambda j: y**j)
 
 
 def _multiplication_lhs(p: int, m: int) -> Fraction:

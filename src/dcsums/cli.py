@@ -180,7 +180,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         import dataclasses  # not at module level: value queries would pay for inspect and ast
 
         grid = dataclasses.replace(grid, p_values=(args.p,))
-    if args.out:
+    if args.out is not None:
         _require_writable(args.out)
     report = audit.sweep(ids, grid)
     vacuous = [cid for cid, n in report.summary.items() if n["pass"] + n["fail"] == 0]
@@ -192,7 +192,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         payload = reporting.report_to_csv(report)
     else:
         payload = reporting.format_report_text(report)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:

@@ -254,7 +254,7 @@ def test_audit_checks_out_path_before_sweeping(tmp_path, capsys, monkeypatch):
         raise AssertionError("sweep ran before --out was checked")
 
     monkeypatch.setattr(cli.audit, "sweep", sweep_must_not_run)
-    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path, ""):
         code, out, err = run_cli(capsys, "audit", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(target) in err
