@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .appell import Poly, euler_number, euler_poly, poly_integral
 from .rationals import Rational, binomial
 from .sums import alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
-from .umbral import lattice_power_sum, theorem9_rhs
+from .umbral import _umbral, lattice_power_sum, theorem9_rhs
 
 __all__ = [
     "IdentityCheck",
@@ -157,13 +157,6 @@ class ParamGrid:
 
 # ---------------------------------------------------------------------------
 # Shared building blocks for the registered checks.
-
-def _umbral(p: int, a: Callable[[int], Rational], b: Callable[[int], Rational]) -> Fraction:
-    """(A + B)^p = sum_s C(p,s) a(s) b(p-s), reading A^s as a(s) and B^j as b(j);
-    b(p-s) is not consulted where C(p,s) a(s) = 0 (half the Euler numbers)."""
-    terms = (c * b(p - s) for s in range(p + 1) if (c := binomial(p, s) * a(s)))
-    return sum(terms, Fraction(0))
-
 
 def _integral_01_x_times_euler(p: int) -> Fraction:
     # Exact int_0^1 x E_p(x) dx by term-wise polynomial integration.

@@ -161,7 +161,7 @@ def _require_writable(path: str) -> None:
         directory = os.path.dirname(target)
         writable = os.path.isdir(directory) and os.access(directory, os.W_OK)
     if not writable:
-        raise OSError(f"cannot write report to {path}")
+        raise OSError(f"cannot write report to {path!r}")
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

@@ -1,14 +1,15 @@
 """Umbral evaluation: powers of linear forms in independent Euler umbrae.
 
 An umbral expression is a sum of terms a_i * (E_i + x_i) over distinct
-umbrae E_i.  Raising it to the p-th power expands multinomially and then
-replaces each E_i^s by the Euler polynomial value E_s(x_i):
+umbrae E_i.  Raising it to the p-th power replaces each E_i^s by the Euler
+polynomial value E_s(x_i) in one binomial convolution, ``_umbral``:
 
     (a(E + x) + b(E' + y))^p = sum_s C(p,s) a^s E_s(x) b^(p-s) E_{p-s}(y)
 
-and so on for more umbrae.  A single unshifted umbra recovers the plain
-Euler numbers: (E + 0)^p = E_p.  Duplicate umbra ids are rejected — there
-is no defined semantics for adding two shifted copies of one umbra.
+More umbrae fold one at a time, each term against the rest of the form.  A
+single unshifted umbra recovers the plain Euler numbers: (E + 0)^p = E_p.
+Duplicate umbra ids are rejected — there is no defined semantics for adding
+two shifted copies of one umbra.
 
 ``lattice_power_sum`` is the one kernel behind the theorem 7 and 9 right
 sides.  It runs on the integer form of ``Poly``: over D = lcm_s den_s den_(p-s)
@@ -19,8 +20,8 @@ each two-umbra power is t_u / D, with t_u an int built from the Horner vectors
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 from .appell import _horner, euler_number, euler_poly
 from .rationals import Rational, binomial
@@ -36,38 +37,33 @@ def _as_terms(terms: Iterable[tuple]) -> list[tuple[Fraction, Fraction, int]]:
     return out
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # All (s_1, ..., s_parts) with sum == total, lexicographic.
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _umbral(p: int, a: Callable[[int], Rational], b: Callable[[int], Rational]) -> Fraction:
+    """(A + B)^p = sum_s C(p,s) a(s) b(p-s), reading A^s as a(s) and B^j as b(j);
+    b(p-s) is not consulted where C(p,s) a(s) = 0 (half the Euler numbers)."""
+    terms = (c * b(p - s) for s in range(p + 1) if (c := binomial(p, s) * a(s)))
+    return sum(terms, Fraction(0))
 
 
 def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
     """Evaluate (sum_i a_i (E_i + x_i))^p with independent umbrae.
 
-    Each term is a ``(coeff, shift, umbra)`` tuple for a_i * (E_i + x_i).
+    Each term is a ``(coeff, shift, umbra)`` tuple for a_i * (E_i + x_i).  Term
+    i and the terms after it are two independent umbrae, joined by ``_umbral``.
     """
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
     ts = _as_terms(terms)
     if not ts:
-        return Fraction(1) if p == 0 else Fraction(0)
-    total = Fraction(0)
-    for comp in _compositions(p, len(ts)):
-        coef = factorial(p)
-        for s in comp:
-            coef //= factorial(s)
-        prod = Fraction(coef)
-        for (coeff, shift, _), s in zip(ts, comp):
-            if prod == 0:
-                break
-            prod *= coeff**s * euler_poly(s).eval(shift)
-        total += prod
-    return total
+        return Fraction(int(p == 0))
+
+    def power(i: int, j: int) -> Rational:
+        coeff, shift, _ = ts[i]
+        own = lambda s: coeff**s * euler_poly(s).eval(shift)
+        if i == len(ts) - 1:
+            return own(j)
+        return _umbral(j, own, lambda r: power(i + 1, r))
+
+    return power(0, p)
 
 
 def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Rational:

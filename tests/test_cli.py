@@ -257,7 +257,7 @@ def test_audit_checks_out_path_before_sweeping(tmp_path, capsys, monkeypatch):
     for target in (tmp_path / "missing" / "x.csv", tmp_path, ""):
         code, out, err = run_cli(capsys, "audit", "--out", str(target))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and str(target) in err
+        assert err.startswith("error: ") and repr(str(target)) in err
 
     # A sweep that fails after the check leaves an existing report untouched.
     def failing_sweep(*args, **kwargs):

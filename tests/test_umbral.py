@@ -49,22 +49,22 @@ def test_two_umbra_expansion_matches_term_by_term_oracle():
     rng = random.Random(5151)
     for _ in range(25):
         a, b = rand_rational(rng), rand_rational(rng)
+        xa, xb = rand_rational(rng, 6, 6), rand_rational(rng, 6, 6)
         for p in range(10):
-            expected = sum(
-                comb(p, s) * a**s * euler_number(s) * b ** (p - s) * euler_number(p - s)
-                for s in range(p + 1)
-            )
-            assert umbral_power([(a, 0, 0), (b, 0, 1)], p) == expected
+            expected = oracles.upow2(a, xa, b, xb, p)
+            assert umbral_power([(a, xa, 0), (b, xb, 1)], p) == expected
 
 
-def test_three_umbrae_against_nested_binomial_expansion():
-    # Fold one umbra at a time: ((aE + bE') + cE'')^p via the two-umbra rule
-    # applied to the pair sum is the multinomial expansion.
+def test_three_umbrae_against_multinomial_expansion():
+    # umbral_power folds one umbra at a time; the independent path is the
+    # multinomial sum over s1 + s2 + s3 = p of p!/(s1! s2! s3!) prod a^s E_s(x).
     from math import factorial
 
     rng = random.Random(77)
     for _ in range(10):
         a, b, c = (rand_rational(rng, 6, 4) for _ in range(3))
+        x, y, z = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+                   for _ in range(3))
         for p in range(7):
             expected = Fraction(0)
             for s1 in range(p + 1):
@@ -75,11 +75,11 @@ def test_three_umbrae_against_nested_binomial_expansion():
                     )
                     expected += (
                         coef
-                        * a**s1 * euler_number(s1)
-                        * b**s2 * euler_number(s2)
-                        * c**s3 * euler_number(s3)
+                        * a**s1 * oracles.euler_value(s1, x)
+                        * b**s2 * oracles.euler_value(s2, y)
+                        * c**s3 * oracles.euler_value(s3, z)
                     )
-            got = umbral_power([(a, 0, 0), (b, 0, 1), (c, 0, 2)], p)
+            got = umbral_power([(a, x, 0), (b, y, 1), (c, z, 2)], p)
             assert got == expected
 
 
@@ -87,6 +87,9 @@ def test_empty_form_and_power_zero():
     assert umbral_power([], 0) == 1
     assert umbral_power([], 3) == 0
     assert umbral_power([(2, Fraction(1, 2), 0)], 0) == 1
+    for terms in ([], [(1, 0, 0)]):
+        with pytest.raises(ValueError):
+            umbral_power(terms, -1)
 
 
 def test_theorem9_rhs_values():
