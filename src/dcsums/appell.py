@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import lcm
 from typing import Callable, Iterable
 
@@ -87,18 +88,13 @@ class Poly:
         return Poly(-c for c in self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
+        return Poly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly | Rational | int") -> "Poly":
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
@@ -141,12 +137,11 @@ def _horner(b: tuple[int, ...], r: int) -> int:
     return acc
 
 
-# E_0..E_N and B_0..B_N.  An index past the end rebuilds both from one
-# tangent table at least twice the size.  Each tuple is bound in a single
-# assignment, so a reader on another thread sees the old or the new tuple,
-# both correct prefixes, and no lock is needed.
-_EULER_NUMBERS: tuple[Fraction, ...] = ()
-_BERNOULLI_NUMBERS: tuple[Fraction, ...] = ()
+# The pair (E_0..E_N, B_0..B_N).  An index past the end rebuilds both from
+# one tangent table at least twice the size.  The pair is bound in a single
+# assignment, so a reader on another thread sees the old or the new pair,
+# both correct prefixes of equal length, and no lock is needed.
+_NUMBERS: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ())
 
 
 def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -158,8 +153,8 @@ def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     docstring.  E_0 = B_0 = 1, B_1 = -1/2, and E_(2m), B_(2m+1) vanish for
     m >= 1.
     """
-    global _EULER_NUMBERS, _BERNOULLI_NUMBERS
-    top = max(n // 2 + 1, len(_EULER_NUMBERS))
+    global _NUMBERS
+    top = max(n // 2 + 1, len(_NUMBERS[0]))
     t = [0, 1] + [0] * (top - 1)
     for k in range(2, top + 1):
         t[k] = (k - 1) * t[k - 1]
@@ -172,29 +167,28 @@ def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         sign = -1 if m % 2 else 1
         euler[2 * m - 1] = Fraction(sign * t[m], 2 ** (2 * m - 1))
         bernoulli[2 * m] = Fraction(-sign * 2 * m * t[m], 4**m * (4**m - 1))
-    _EULER_NUMBERS = euler_tuple = tuple(euler)
-    _BERNOULLI_NUMBERS = bernoulli_tuple = tuple(bernoulli)
-    return euler_tuple, bernoulli_tuple
+    _NUMBERS = numbers = (tuple(euler), tuple(bernoulli))
+    return numbers
+
+
+def _number(which: int, n: int) -> Rational:
+    """E_n (which = 0) or B_n (which = 1), from the pair this call read or built."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    numbers = _NUMBERS
+    if n >= len(numbers[which]):
+        numbers = _rebuild(n)
+    return numbers[which][n]
 
 
 def euler_number(n: int) -> Rational:
     """n-th Euler number E_n = E_n(0); E_1 = -1/2 and E_{2k} = 0 for k >= 1."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    numbers = _EULER_NUMBERS
-    if n >= len(numbers):
-        numbers = _rebuild(n)[0]
-    return numbers[n]
+    return _number(0, n)
 
 
 def bernoulli_number(n: int) -> Rational:
     """n-th Bernoulli number with B_1 = -1/2."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    numbers = _BERNOULLI_NUMBERS
-    if n >= len(numbers):
-        numbers = _rebuild(n)[1]
-    return numbers[n]
+    return _number(1, n)
 
 
 def _appell_poly(n: int, number: Callable[[int], Rational]) -> Poly:
@@ -228,7 +222,5 @@ def poly_integral(p: Poly) -> Poly:
     int_0^x E_n = (E_{n+1}(x) - E_{n+1}) / (n+1); the commonly printed form
     omits the -E_{n+1} term and already fails at n = 0.
     """
-    if not p.coeffs:
-        return Poly()
     return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
 

@@ -43,7 +43,10 @@ __all__ = [
     "standard_audit_grid",
 ]
 
-PARAM_NAMES = ("p", "h", "k", "n", "l", "m", "s")
+# name -> (first value, default maximum) of each grid parameter's range.
+_RANGES = {"p": (1, 7), "h": (1, 9), "k": (1, 9), "n": (1, 12), "l": (0, 8), "m": (1, 9),
+           "s": (2, 8)}
+PARAM_NAMES = tuple(_RANGES)
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,9 @@ class ParamGrid:
     """Finite value ranges per parameter name, with optional filters.
 
     ``odd_only`` restricts the modulus-like parameters h, k, m to odd
-    values; ``coprime_only`` keeps only (h, k) pairs with gcd 1.  Tuples
-    are enumerated lexicographically in each check's declared name order.
-    A value repeated within one range raises ValueError.
+    values; ``coprime_only`` keeps only (h, k) pairs with gcd 1.  Each range
+    is walked ascending, so tuples come out lexicographically in each
+    check's declared name order.  A repeated value raises ValueError.
     """
 
     p_values: tuple[int, ...] = ()
@@ -102,28 +105,15 @@ class ParamGrid:
 
     @classmethod
     def from_maxima(
-        cls,
-        pmax: int = 7,
-        hmax: int = 9,
-        kmax: int = 9,
-        nmax: int = 12,
-        lmax: int = 8,
-        mmax: int = 9,
-        smax: int = 8,
-        odd_only: bool = False,
-        coprime_only: bool = False,
+        cls, *, odd_only: bool = False, coprime_only: bool = False, **maxima: int
     ) -> "ParamGrid":
-        return cls(
-            p_values=tuple(range(1, pmax + 1)),
-            h_values=tuple(range(1, hmax + 1)),
-            k_values=tuple(range(1, kmax + 1)),
-            n_values=tuple(range(1, nmax + 1)),
-            l_values=tuple(range(0, lmax + 1)),
-            m_values=tuple(range(1, mmax + 1)),
-            s_values=tuple(range(2, smax + 1)),
-            odd_only=odd_only,
-            coprime_only=coprime_only,
-        )
+        """The grid of ``_RANGES``, each ``<name>max`` keyword replacing one default maximum."""
+        ranges = {f"{name}_values": tuple(range(first, maxima.pop(f"{name}max", top) + 1))
+                  for name, (first, top) in _RANGES.items()}
+        if maxima:
+            raise TypeError(
+                f"from_maxima() got an unexpected keyword argument {next(iter(maxima))!r}")
+        return cls(**ranges, odd_only=odd_only, coprime_only=coprime_only)
 
     def __post_init__(self) -> None:
         # A repeated value would evaluate its tuples twice and double their tallies.
@@ -141,7 +131,7 @@ class ParamGrid:
     def iter_params(self, param_names: Sequence[str]) -> Iterator[dict[str, int]]:
         names = tuple(param_names)
         coprime = self.coprime_only and "h" in names and "k" in names
-        for values in product(*(self.values_for(name) for name in names)):
+        for values in product(*(sorted(self.values_for(name)) for name in names)):
             params = dict(zip(names, values))
             if coprime and gcd(params["h"], params["k"]) != 1:
                 continue
@@ -414,23 +404,23 @@ def run_check(check_id: str, params: Mapping[str, int]) -> CheckResult:
 def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     """Evaluate every (id, tuple) over the grid into a deterministic report.
 
-    Results are ordered lexicographically by (id, params); the per-id
-    summary tallies pass/fail/skip.  A repeated id raises ValueError, since
-    it would evaluate each of its tuples twice and double its tallies.
+    Checks run in id order over ``iter_params``'s ordered walk, so results
+    come out sorted by (id, params); the per-id summary tallies pass/fail/skip
+    in the caller's id order.  A repeated id raises ValueError, since it
+    would evaluate each of its tuples twice and double its tallies.
     """
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate check ids in {list(ids)}")
     checks = [get_check(check_id) for check_id in ids]
-    results = [
+    results = tuple(
         _evaluate(check, params)
-        for check in checks
+        for check in sorted(checks, key=operator.attrgetter("id"))
         for params in grid.iter_params(check.param_names)
-    ]
-    results.sort(key=lambda r: (r.id, tuple(r.params.values())))
+    )
     summary: dict[str, dict[str, int]] = {
         check.id: {"pass": 0, "fail": 0, "skip": 0} for check in checks
     }
     for r in results:
         bucket = "skip" if r.skipped else ("pass" if r.holds else "fail")
         summary[r.id][bucket] += 1
-    return AuditReport(grid=grid.description(), results=tuple(results), summary=summary)
+    return AuditReport(grid=grid.description(), results=results, summary=summary)

@@ -80,7 +80,7 @@ _UMBRAL_FORMS = {
     "thm9rhs": (("h", "k"), lambda a: theorem9_rhs(a.p, a.h, a.k)),
 }
 
-# The audit grid's maxima; their defaults live in ParamGrid.from_maxima only.
+# The audit grid's maxima; their defaults live in audit._RANGES only.
 _AUDIT_MAXIMA = (("pmax", _positive), ("hmax", _positive), ("kmax", _positive),
                  ("nmax", _positive), ("lmax", _nonneg), ("mmax", _positive),
                  ("smax", _positive))
@@ -221,6 +221,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # Exact values of any size print: lift CPython's int/str digit limit (3.10.7+).
+    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
     sys.exit(main())
 
 

@@ -53,8 +53,7 @@ def test_first_bernoulli_numbers():
 
 
 def fresh_number_tables(monkeypatch):
-    monkeypatch.setattr(appell, "_EULER_NUMBERS", ())
-    monkeypatch.setattr(appell, "_BERNOULLI_NUMBERS", ())
+    monkeypatch.setattr(appell, "_NUMBERS", ((), ()))
 
 
 def test_numbers_match_series_oracle(monkeypatch):
@@ -93,15 +92,15 @@ def test_concurrent_growth_matches_single_thread_values(monkeypatch):
 
 
 def test_lookup_returns_the_tuple_it_built(monkeypatch):
-    # A smaller concurrent rebuild may bind the globals last; a lookup must
-    # answer from the tuples its own rebuild returned, not re-read a global.
+    # A smaller concurrent rebuild may bind the global last; a lookup must
+    # answer from the pair its own rebuild returned, not re-read the global.
     expected = (euler_number(51), bernoulli_number(50))
     fresh_number_tables(monkeypatch)
     rebuild = appell._rebuild
 
     def rebuild_then_lose_the_race(n):
         built = rebuild(n)
-        appell._EULER_NUMBERS = appell._BERNOULLI_NUMBERS = ()
+        appell._NUMBERS = ((), ())
         return built
 
     monkeypatch.setattr(appell, "_rebuild", rebuild_then_lose_the_race)
@@ -113,6 +112,9 @@ def test_negative_index_rejected():
         euler_number(-1)
     with pytest.raises(ValueError):
         bernoulli_number(-3)
+    for poly in (euler_poly, bernoulli_poly):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            poly(-1)
 
 
 # --- Polynomials ------------------------------------------------------------
@@ -154,6 +156,19 @@ def test_poly_normalization_and_degree():
     assert Poly([0]).coeffs == ()
     assert Poly().degree == -1
     assert euler_poly(7).degree == 7
+    # Equal coefficient tuples are one polynomial, and nothing else equals it.
+    assert hash(Poly([1, 2, 0])) == hash(Poly([1, 2]))
+    assert len({Poly([1, 2, 0]), Poly([1, 2])}) == 1
+    assert Poly([1, 2]).__eq__((1, 2)) is NotImplemented
+    assert Poly([1, 2]) != (Fraction(1), Fraction(2))
+
+
+def test_poly_arithmetic_with_zero_and_unequal_lengths():
+    assert Poly([1]) * Poly() == Poly() * Poly([1, 2]) == Poly()
+    assert Poly([1]) + Poly([0, 2, 3]) == Poly([0, 2, 3]) + Poly([1]) == Poly([1, 2, 3])
+    assert Poly([1, 2]) + Poly([3, -2]) == Poly([4])
+    assert Poly() + Poly([5]) == Poly([5]) - Poly() == Poly([5])
+    assert Poly([1, 2]) - Poly([1, 2]) == Poly()
 
 
 # Arbitrary rational coefficients (zeros and non-dyadic denominators

@@ -79,6 +79,12 @@ def test_hypothesis_violations_are_skips_not_failures():
     result = run_check("eq11", {"p": 3, "m": 4})  # even modulus
     assert result.skipped
 
+    # Theorem 8 is claimed for odd p > 1 only.  At p = 1 both forms would
+    # hold on many odd (h, k), so only the skip shows the hypothesis.
+    for check_id in ("thm8_periodic", "thm8_poly"):
+        result = run_check(check_id, {"p": 1, "h": 1, "k": 1})
+        assert result.skipped and result.residual is None
+
 
 def test_thm2_printed_is_marginal_only_at_s_equal_p_plus_one():
     result = run_check("thm2_printed", {"p": 3, "s": 4})
@@ -172,10 +178,40 @@ def test_grid_filters():
     grid = ParamGrid.from_maxima(hmax=6, kmax=6, mmax=8, odd_only=True, coprime_only=True)
     assert grid.values_for("h") == (1, 3, 5)
     assert grid.values_for("m") == (1, 3, 5, 7)
+    # odd_only filters the moduli h, k, m only: p keeps its even values.
+    assert grid.values_for("p") == (1, 2, 3, 4, 5, 6, 7)
+    assert grid.description()["p"] == [1, 2, 3, 4, 5, 6, 7]
+    assert grid.description()["h"] == [1, 3, 5]
     pairs = [(p["h"], p["k"]) for p in grid.iter_params(("h", "k"))]
     assert (3, 3) not in pairs
     assert (3, 5) in pairs
     assert all(h % 2 == 1 and k % 2 == 1 for h, k in pairs)
+
+
+def test_from_maxima_ranges():
+    grid = ParamGrid.from_maxima(pmax=2, lmax=0, smax=3)
+    assert grid == ParamGrid(
+        p_values=(1, 2), h_values=tuple(range(1, 10)), k_values=tuple(range(1, 10)),
+        n_values=tuple(range(1, 13)), l_values=(0,), m_values=tuple(range(1, 10)),
+        s_values=(2, 3),
+    )
+    with pytest.raises(TypeError, match="qmax"):
+        ParamGrid.from_maxima(qmax=3)
+
+
+def test_unsorted_axes_and_ids_give_the_sorted_report():
+    shuffled = ParamGrid(p_values=(5, 3), h_values=(5, 1, 3), k_values=(3, 1, 5),
+                         odd_only=True, coprime_only=True)
+    ordered = ParamGrid(p_values=(3, 5), h_values=(1, 3, 5), k_values=(1, 3, 5),
+                        odd_only=True, coprime_only=True)
+    walks = [[tuple(p.values()) for p in grid.iter_params(("p", "h", "k"))]
+             for grid in (shuffled, ordered)]
+    assert walks[0] == sorted(walks[0]) == walks[1]
+    ids = ["thm9", "dedekind_recip", "thm8_periodic"]
+    report, expected = sweep(ids, shuffled), sweep(sorted(ids), ordered)
+    assert report.results == expected.results
+    assert list(report.summary) == ids and report.summary == expected.summary
+    assert report.grid["h"] == [5, 1, 3]  # the report keeps the grid as given
 
 
 def test_sweep_is_deterministic():

@@ -184,7 +184,7 @@ def test_audit_json_round_trip_and_csv_parity(capsys):
     csv_lines = out_csv.strip().splitlines()
     assert csv_lines[0].startswith("id,p,h,k,n,l,m,s,lhs,rhs,residual")
     assert len(csv_lines) - 1 == len(payload["results"])
-    # Same (id, params) in the same order in both encodings.
+    # Every cell of every row matches its JSON entry, in the same order.
     for line, entry in zip(csv_lines[1:], payload["results"]):
         cells = line.split(",")
         assert cells[0] == entry["id"]
@@ -194,6 +194,34 @@ def test_audit_json_round_trip_and_csv_parity(capsys):
             for name in ("p", "h", "k", "n", "l", "m", "s")
         ]
         assert cells[1:8] == expected
+        assert cells[8:11] == [entry[key] or "" for key in ("lhs", "rhs", "residual")]
+        assert cells[11:] == [str(entry[key]).lower() for key in ("holds", "skipped")]
+    rows = {(e["holds"], e["skipped"]) for e in payload["results"]}
+    assert rows == {(True, False), (False, False), (False, True)}
+
+
+def test_audit_text_format(capsys):
+    args = ["audit", "--checks", "lemma1_printed,eq11", "--pmax", "2", "--mmax", "2"]
+    code, out, _ = run_cli(capsys, *args, "--format", "text")
+    assert code == 1
+    assert out.splitlines() == [
+        "ok    eq11(p=1, m=1)  lhs=0  rhs=0",
+        "SKIP  eq11(p=1, m=2)",
+        "ok    eq11(p=2, m=1)  lhs=-1/4  rhs=-1/4",
+        "SKIP  eq11(p=2, m=2)",
+        "FAIL  lemma1_printed(p=1)  lhs=1/12  rhs=0  residual=1/12",
+        "SKIP  lemma1_printed(p=2)",
+        "",
+        "eq11: pass=2 fail=0 skip=2",
+        "lemma1_printed: pass=0 fail=1 skip=1",
+        "",
+        "1 failing instances",
+    ]
+    _, out_json, _ = run_cli(capsys, *args, "--format", "json")
+    assert report_from_json(out_json).summary == {
+        "lemma1_printed": {"pass": 0, "fail": 1, "skip": 1},
+        "eq11": {"pass": 2, "fail": 0, "skip": 2},
+    }
 
 
 def test_audit_is_byte_deterministic(capsys):
@@ -380,3 +408,20 @@ def test_module_entry_point_end_to_end():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+def test_values_above_the_int_str_digit_limit_print():
+    # CPython refuses int/str conversions past 4300 digits unless told
+    # otherwise; E_1(x) = x - 1/2 at a 4400-digit x is parsed and printed.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    x = "9" * 4400
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcsums", "umbral", "--form", "Ex", "--p", "1", "--x", x],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout) == 4404
+    assert proc.stdout == "1" + "9" * 4399 + "7/2\n"

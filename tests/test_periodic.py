@@ -66,6 +66,8 @@ def test_bernoulli_function_examples():
 def test_bernoulli_function_requires_positive_order():
     with pytest.raises(ValueError):
         bernoulli_function(0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        euler_function(-1, Fraction(1, 2))
 
 
 @settings(max_examples=60)

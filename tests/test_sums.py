@@ -94,6 +94,11 @@ def test_dc_sum_empty_for_unit_modulus():
             assert dc_sum(p, h, 1) == 0
 
 
+def test_dc_sum_preconditions():
+    with pytest.raises(ValueError, match="p must be nonnegative"):
+        dc_sum(-1, 1, 3)
+
+
 def test_dc_sum_allows_non_coprime_arguments():
     # The definition needs no coprimality; only the reciprocity audits do.
     # Checked against the direct oracle for both parities of p, coprime and
@@ -133,6 +138,8 @@ def test_alt_power_sum_values():
     assert alt_power_sum(2, 1) == -2
     assert alt_power_sum(3, 1) == 2
     assert alt_power_sum(1, 0) == 2  # 0^0 = 1 by convention
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        alt_power_sum(3, -1)
 
 
 def test_alt_power_sum_corrected_closed_form():
