@@ -88,9 +88,13 @@ class Poly:
         return Poly(-c for c in self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return Poly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "Poly | Rational | int") -> "Poly":

@@ -40,7 +40,8 @@ def binomial(n: int, k: int) -> int:
 
 def format_rational(q: Rational | int) -> str:
     """Canonical text form: ``-13/108``; integers render without ``/1``."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

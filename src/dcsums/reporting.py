@@ -1,10 +1,13 @@
 """Schema-stable JSON/CSV/text serialization of audit reports.
 
 Rationals travel as canonical strings (``"13/54"``), never floats.  JSON
-serialization is byte-deterministic (sorted keys, fixed indentation), and
-``report_from_json(report_to_json(r))`` reproduces the report field for
-field.  Skipped entries carry null lhs/rhs/residual — no value exists for
-them.  CSV rows mirror the JSON results one to one, in the same order.
+serialization is byte-deterministic: the layout of ``json.dumps(...,
+sort_keys=True, indent=2)``, which ``report_to_json`` writes directly, one
+f-string block per result, leaving only the small ``grid`` and ``summary``
+dicts to ``json``.  ``report_from_json(report_to_json(r))`` reproduces the
+report field for field.  Skipped entries carry null lhs/rhs/residual — no
+value exists for them.  CSV rows mirror the JSON results one to one, in the
+same order.
 """
 
 from __future__ import annotations
@@ -30,24 +33,43 @@ def _fmt(value) -> str | None:
     return None if value is None else format_rational(value)
 
 
+def _json_nested(value) -> str:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` renders it one level deep."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _json_rational(q) -> str:
+    return "null" if q is None else f'"{format_rational(q)}"'
+
+
+def _json_result(r: CheckResult) -> str:
+    # Keys in sorted order.  Parameter names and canonical rationals need no
+    # JSON escapes; an id, which a loaded report may carry, goes through json.
+    params = ",".join(f'\n        "{name}": {r.params[name]}' for name in sorted(r.params))
+    if params:
+        params += "\n      "
+    return (
+        "    {\n"
+        f'      "holds": {"true" if r.holds else "false"},\n'
+        f'      "id": {json.dumps(r.id)},\n'
+        f'      "lhs": {_json_rational(r.lhs)},\n'
+        f'      "params": {{{params}}},\n'
+        f'      "residual": {_json_rational(r.residual)},\n'
+        f'      "rhs": {_json_rational(r.rhs)},\n'
+        f'      "skipped": {"true" if r.skipped else "false"}\n'
+        "    }"
+    )
+
+
 def report_to_json(report: AuditReport) -> str:
-    data = {
-        "grid": report.grid,
-        "results": [
-            {
-                "id": r.id,
-                "params": r.params,
-                "lhs": _fmt(r.lhs),
-                "rhs": _fmt(r.rhs),
-                "residual": _fmt(r.residual),
-                "holds": r.holds,
-                "skipped": r.skipped,
-            }
-            for r in report.results
-        ],
-        "summary": report.summary,
-    }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    results = ",\n".join(map(_json_result, report.results))
+    if results:
+        results = f"\n{results}\n  "
+    return (
+        f'{{\n  "grid": {_json_nested(report.grid)},\n'
+        f'  "results": [{results}],\n'
+        f'  "summary": {_json_nested(report.summary)}\n}}\n'
+    )
 
 
 def report_from_json(text: str) -> AuditReport:

@@ -169,6 +169,11 @@ def test_poly_arithmetic_with_zero_and_unequal_lengths():
     assert Poly([1, 2]) + Poly([3, -2]) == Poly([4])
     assert Poly() + Poly([5]) == Poly([5]) - Poly() == Poly([5])
     assert Poly([1, 2]) - Poly([1, 2]) == Poly()
+    # Only a Poly adds to a Poly, from either side (scalars multiply).
+    for add in (lambda: Poly([1]) + 1, lambda: Poly([1]) - 1,
+                lambda: 1 + Poly([1]), lambda: 1 - Poly([1])):
+        with pytest.raises(TypeError):
+            add()
 
 
 # Arbitrary rational coefficients (zeros and non-dyadic denominators

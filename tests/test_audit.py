@@ -1,15 +1,18 @@
 import gc
+import json
 from fractions import Fraction
 
 import pytest
 
 from dcsums import (
     ParamGrid,
+    format_rational,
     get_check,
     registry_ids,
     report_to_csv,
     report_to_json,
     run_check,
+    standard_audit_grid,
     sweep,
 )
 
@@ -222,6 +225,40 @@ def test_sweep_is_deterministic():
     assert serial_json == again_json
     serial_csv = report_to_csv(sweep(ids, grid))
     assert serial_csv == report_to_csv(sweep(ids, grid))
+
+
+def _reference_json(report):
+    """The whole report through json.dumps: the layout report_to_json writes directly."""
+    def fmt(q):
+        return None if q is None else format_rational(q)
+
+    data = {
+        "grid": report.grid,
+        "results": [
+            {"id": r.id, "params": r.params, "lhs": fmt(r.lhs), "rhs": fmt(r.rhs),
+             "residual": fmt(r.residual), "holds": r.holds, "skipped": r.skipped}
+            for r in report.results
+        ],
+        "summary": report.summary,
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_report_to_json_matches_the_json_encoder():
+    standard = sweep(registry_ids(), standard_audit_grid())
+    empty = sweep([], ParamGrid.from_maxima(pmax=2))
+    no_tuples = sweep(["thm9"], ParamGrid())
+    skipped = sweep(["thm9", "dedekind_recip"], ParamGrid.from_maxima(pmax=4, hmax=4, kmax=4))
+    default = sweep(registry_ids(), ParamGrid.from_maxima())
+    unsorted = sweep(["thm9", "thm8_periodic"],
+                     ParamGrid(p_values=(5, 3), h_values=(5, 1, 3), k_values=(3, 1, 5)))
+    assert empty.results == no_tuples.results == () and no_tuples.summary
+    assert any(r.skipped for r in skipped.results)
+    assert any(not r.skipped and not r.holds and r.residual < 0 for r in default.results)
+    assert unsorted.grid["h"] == [5, 1, 3]
+    for report in (standard, empty, no_tuples, skipped, default, unsorted):
+        assert report_to_json(report) == _reference_json(report)
+    assert '"results": []' in report_to_json(empty)
 
 
 def test_sweep_rejects_duplicate_ids():

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from itertools import product
+from math import comb, factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcsums import (
     euler_number,
@@ -11,6 +13,7 @@ from dcsums import (
     theorem9_rhs,
     umbral_power,
 )
+from dcsums.umbral import lattice_power_sum
 
 import oracles
 
@@ -58,8 +61,6 @@ def test_two_umbra_expansion_matches_term_by_term_oracle():
 def test_three_umbrae_against_multinomial_expansion():
     # umbral_power folds one umbra at a time; the independent path is the
     # multinomial sum over s1 + s2 + s3 = p of p!/(s1! s2! s3!) prod a^s E_s(x).
-    from math import factorial
-
     rng = random.Random(77)
     for _ in range(10):
         a, b, c = (rand_rational(rng, 6, 4) for _ in range(3))
@@ -81,6 +82,38 @@ def test_three_umbrae_against_multinomial_expansion():
                     )
             got = umbral_power([(a, x, 0), (b, y, 1), (c, z, 2)], p)
             assert got == expected
+
+
+def test_four_umbrae_against_multinomial_expansion():
+    # Two inner folds: the umbra sequences are read at every power up to p.
+    rng = random.Random(4444)
+    for _ in range(6):
+        terms = [(rand_rational(rng, 5, 4), rand_rational(rng, 6, 6), umbra)
+                 for umbra in (3, 0, 7, 1)]
+        for p in range(7):
+            expected = Fraction(0)
+            for head in product(range(p + 1), repeat=3):
+                if sum(head) > p:
+                    continue
+                powers = (*head, p - sum(head))
+                term = Fraction(factorial(p))
+                for s, (a, x, _) in zip(powers, terms):
+                    term *= a**s * oracles.euler_value(s, x) / factorial(s)
+                expected += term
+            assert umbral_power(terms, p) == expected, (terms, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.integers(1, 12), st.integers(1, 12),
+       st.lists(st.lists(st.integers(-5, 5), min_size=12, max_size=12),
+                min_size=12, max_size=12))
+def test_lattice_power_sum_matches_term_by_term_oracle(p, h, k, table):
+    # Any integer weight over (u, j); p may be 0 or even, and h, k need not be coprime.
+    expected = Fraction(0)
+    for u in range(k):
+        j = h * u // k
+        expected += table[u][j] * oracles.upow2(k * h, Fraction(u, k), k, h - j, p)
+    assert lattice_power_sum(p, h, k, lambda u, j: table[u][j]) == expected
 
 
 def test_empty_form_and_power_zero():
