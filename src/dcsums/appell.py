@@ -21,7 +21,7 @@ from itertools import zip_longest
 from math import lcm
 from typing import Callable, Iterable
 
-from .rationals import Rational, binomial, format_rational
+from .rationals import Rational, binomial, exact, format_rational
 
 __all__ = [
     "Poly",
@@ -55,7 +55,7 @@ class Poly:
     __slots__ = ("coeffs", "den", "num")
 
     def __init__(self, coeffs: Iterable[Rational | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(exact(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -69,7 +69,7 @@ class Poly:
 
     def eval(self, x: Rational | int) -> Rational:
         """Exact P(x): ``scaled`` and ``_horner`` at n for x = n/m, then one Fraction."""
-        n, m = x.as_integer_ratio()
+        n, m = exact(x).as_integer_ratio()
         return Fraction(_horner(self.scaled(m), n), self.den * m ** max(self.degree, 0))
 
     def scaled(self, m: int) -> tuple[int, ...]:
@@ -104,7 +104,7 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        return Poly(Fraction(other) * c for c in self.coeffs)
+        return Poly(exact(other) * c for c in self.coeffs)
 
     __rmul__ = __mul__
 

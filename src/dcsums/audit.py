@@ -51,7 +51,15 @@ PARAM_NAMES = tuple(_RANGES)
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One auditable claim: named integer params, hypotheses, two sides."""
+    """One auditable claim: named integer params, hypotheses, two sides.
+
+    ``hk_symmetric`` promises that both sides, as written, keep their values
+    when h and k are exchanged, at every (h, k) whether or not the claim
+    holds there.  ``sweep`` then evaluates a tuple whose (h, k) mirror it
+    has already evaluated in the same walk from the mirror's two sides.
+    A side that is symmetric only where the identity holds (thm7, thm9,
+    eq10) must not carry the flag: that agreement is what the audit measures.
+    """
 
     id: str
     param_names: tuple[str, ...]
@@ -59,6 +67,7 @@ class IdentityCheck:
     lhs: Callable[..., Rational]
     rhs: Callable[..., Rational]
     description: str
+    hk_symmetric: bool = False
 
 
 @dataclass(frozen=True)
@@ -329,17 +338,19 @@ _CHECKS = (
     IdentityCheck("thm8_periodic", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
                   lambda p, h, k: theorem8_rhs(p, h, k, periodic=True),
                   "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum with the periodic Euler "
-                  "function"),
+                  "function", hk_symmetric=True),
     IdentityCheck("thm8_poly", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
                   lambda p, h, k: theorem8_rhs(p, h, k, periodic=False),
-                  "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum as printed (plain E_p)"),
+                  "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum as printed (plain E_p)",
+                  hk_symmetric=True),
     IdentityCheck("thm9", ("p", "h", "k"),
                   lambda p, h, k: p > 1 and _odd_p(p) and _coprime(h, k),
                   _reciprocity_lhs, theorem9_rhs,
                   "k^p T_p(h,k) + h^p T_p(k,h) vs the umbral right side"),
     IdentityCheck("dedekind_recip", ("h", "k"), _coprime, _dedekind_recip_lhs,
                   _dedekind_recip_rhs,
-                  "classical reciprocity S(h,k) + S(k,h) = -1/4 + (h^2+k^2+1)/(12hk)"),
+                  "classical reciprocity S(h,k) + S(k,h) = -1/4 + (h^2+k^2+1)/(12hk)",
+                  hk_symmetric=True),
 )
 
 REGISTRY: dict[str, IdentityCheck] = {check.id: check for check in _CHECKS}
@@ -376,14 +387,36 @@ def get_check(check_id: str) -> IdentityCheck:
         raise ValueError(f"unknown check id {check_id!r}") from None
 
 
-def _evaluate(check: IdentityCheck, params: Mapping[str, int]) -> CheckResult:
+def _evaluate(
+    check: IdentityCheck,
+    params: Mapping[str, int],
+    seen: dict[tuple[int, ...], tuple[Fraction, Fraction]] | None = None,
+) -> CheckResult:
+    """One instance.  ``seen``, given for an hk_symmetric check, holds the
+    sides of the tuples evaluated earlier in the walk; a tuple whose (h, k)
+    mirror is there takes (and removes) those sides and computes its own
+    residual."""
     ordered = {name: operator.index(params[name]) for name in check.param_names}
     if not check.hypotheses(**ordered):
         return CheckResult(check.id, ordered, None, None, None, False, True)
-    lhs = Fraction(check.lhs(**ordered))
-    rhs = Fraction(check.rhs(**ordered))
+    sides = None
+    if seen is not None:
+        mirror = {**ordered, "h": ordered["k"], "k": ordered["h"]}
+        sides = seen.pop(tuple(mirror.values()), None)
+    if sides is None:
+        sides = Fraction(check.lhs(**ordered)), Fraction(check.rhs(**ordered))
+        if seen is not None:
+            seen[tuple(ordered.values())] = sides
+    lhs, rhs = sides
     residual = lhs - rhs
     return CheckResult(check.id, ordered, lhs, rhs, residual, residual == 0, False)
+
+
+def _walk(check: IdentityCheck, grid: ParamGrid) -> Iterator[CheckResult]:
+    """One check over the grid; an hk_symmetric check's sides live for this walk only."""
+    seen: dict | None = {} if check.hk_symmetric else None
+    for params in grid.iter_params(check.param_names):
+        yield _evaluate(check, params, seen)
 
 
 def run_check(check_id: str, params: Mapping[str, int]) -> CheckResult:
@@ -408,14 +441,20 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     come out sorted by (id, params); the per-id summary tallies pass/fail/skip
     in the caller's id order.  A repeated id raises ValueError, since it
     would evaluate each of its tuples twice and double its tallies.
+
+    For an ``hk_symmetric`` check, a tuple whose (h, k) mirror came earlier
+    in the same check's walk reuses the mirror's exact lhs and rhs (the
+    ascending walk meets h < k first); every result still carries its own
+    params and residual, equal to what ``run_check`` gives.  The reuse is
+    local to one call: nothing is kept between sweeps.
     """
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate check ids in {list(ids)}")
     checks = [get_check(check_id) for check_id in ids]
     results = tuple(
-        _evaluate(check, params)
+        result
         for check in sorted(checks, key=operator.attrgetter("id"))
-        for params in grid.iter_params(check.param_names)
+        for result in _walk(check, grid)
     )
     summary: dict[str, dict[str, int]] = {
         check.id: {"pass": 0, "fail": 0, "skip": 0} for check in checks

@@ -11,14 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .appell import bernoulli_poly, euler_poly
-from .rationals import Rational
+from .rationals import Rational, exact
 
 __all__ = ["floor_frac", "sawtooth", "bernoulli_function", "euler_function"]
 
 
 def floor_frac(x: Rational | int) -> tuple[int, Rational]:
     """Split x into (floor(x), fractional part) with 0 <= frac < 1."""
-    x = Fraction(x)
+    x = Fraction(exact(x))
     fl = x.numerator // x.denominator
     return fl, x - fl
 

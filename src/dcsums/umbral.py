@@ -33,13 +33,14 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .appell import _horner, euler_number, euler_poly
-from .rationals import Rational, binomial
+from .rationals import Rational, binomial, exact
 
 __all__ = ["umbral_power", "theorem9_rhs"]
 
 
 def _as_terms(terms: Iterable[tuple]) -> list[tuple[Fraction, Fraction, int]]:
-    out = [(Fraction(coeff), Fraction(shift), umbra) for coeff, shift, umbra in terms]
+    out = [(Fraction(exact(coeff)), Fraction(exact(shift)), umbra)
+           for coeff, shift, umbra in terms]
     ids = [umbra for _, _, umbra in out]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate umbra ids in {ids}")

@@ -6,6 +6,7 @@ import pytest
 
 from dcsums import (
     ParamGrid,
+    audit,
     format_rational,
     get_check,
     registry_ids,
@@ -268,6 +269,72 @@ def test_sweep_rejects_duplicate_ids():
     # A repeated grid value would double-count its tuples the same way.
     with pytest.raises(ValueError, match="repeated value in p_values"):
         sweep(["thm8_periodic"], ParamGrid(p_values=(3, 3), h_values=(1,), k_values=(3,)))
+
+
+def _hk_symmetric_ids():
+    return [check_id for check_id in registry_ids() if get_check(check_id).hk_symmetric]
+
+
+def _side_value(side, params):
+    try:
+        return side(**params)
+    except ValueError as exc:  # outside the side's own domain, e.g. S(h, k) with gcd > 1
+        return type(exc)
+
+
+def test_hk_symmetric_sides_are_symmetric_as_written():
+    assert {"thm8_periodic", "thm8_poly", "dedekind_recip"} <= set(_hk_symmetric_ids())
+    # Hypotheses are ignored: the flag promises both sides at every (h, k),
+    # with even p, p = 1, and even or non-coprime h, k included.
+    grid = ParamGrid.from_maxima(pmax=9, hmax=12, kmax=12)
+    asymmetric = []
+    for check in map(get_check, _hk_symmetric_ids()):
+        for params in grid.iter_params(check.param_names):
+            if params["h"] < params["k"]:
+                mirror = {**params, "h": params["k"], "k": params["h"]}
+                if any(_side_value(side, params) != _side_value(side, mirror)
+                       for side in (check.lhs, check.rhs)):
+                    asymmetric.append((check.id, tuple(params.values())))
+    assert asymmetric == [], f"{len(asymmetric)} asymmetric tuples, first {asymmetric[:3]}"
+    for p, h, k in [(3, 1, 5), (4, 2, 5), (5, 4, 6), (1, 3, 9), (7, 6, 9)]:
+        for periodic in (True, False):
+            expected = oracles.t8_rhs(p, h, k, periodic)
+            assert audit.theorem8_rhs(p, h, k, periodic) == expected
+            assert audit.theorem8_rhs(p, k, h, periodic) == expected
+
+
+@pytest.mark.parametrize("grid", [
+    ParamGrid(p_values=(1, 2, 3, 5), h_values=tuple(range(1, 5)), k_values=tuple(range(1, 12))),
+    ParamGrid(p_values=(5, 4, 3), h_values=(7, 2, 5, 1, 9, 4), k_values=(9, 4, 1, 7, 3, 2)),
+], ids=["unequal-axes", "shuffled-axes"])
+def test_sweep_reports_each_tuples_own_values(grid):
+    ids = _hk_symmetric_ids()
+    report = sweep(ids, grid)
+    expected = tuple(run_check(check_id, params) for check_id in sorted(ids)
+                     for params in grid.iter_params(get_check(check_id).param_names))
+    assert report.results == expected
+    # Every check evaluated both orders of some h < k pair, so reuse took place.
+    live = [(r.id, r.params) for r in report.results if not r.skipped]
+    assert {check_id for check_id, params in live if params["h"] < params["k"]
+            and (check_id, {**params, "h": params["k"], "k": params["h"]}) in live} == set(ids)
+
+
+def test_sweep_evaluates_each_mirror_pair_once_per_call(monkeypatch):
+    calls = []
+    kernel = audit.theorem8_rhs
+
+    def counted(p, h, k, periodic=True):
+        calls.append((p, h, k))
+        return kernel(p, h, k, periodic)
+
+    monkeypatch.setattr(audit, "theorem8_rhs", counted)
+    grid = _odd_hk((3, 5), 9)
+    unordered = [(p, h, k) for p in (3, 5) for h in (1, 3, 5, 7, 9) for k in (1, 3, 5, 7, 9)
+                 if h <= k]
+    for _ in range(2):  # a second sweep repeats every call: nothing outlives a sweep
+        calls.clear()
+        assert len(sweep(["thm8_periodic"], grid).results) == 50
+        assert calls == unordered
 
 
 def _odd_hk(p_values, hk_max, coprime_only=False):

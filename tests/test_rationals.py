@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcsums import binomial, format_rational, parse_rational
+from dcsums import (
+    Poly,
+    bernoulli_function,
+    binomial,
+    euler_function,
+    euler_poly,
+    floor_frac,
+    format_rational,
+    parse_rational,
+    sawtooth,
+    umbral_power,
+)
 
 rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6)
 
@@ -55,14 +66,40 @@ def test_parse_rational_accepts_canonical_and_unreduced_forms():
     assert parse_rational("-2") == -2
     assert parse_rational("4/2") == 2
     assert parse_rational(" 1/3 ") == Fraction(1, 3)
+    assert parse_rational("\t-13/108\n") == Fraction(-13, 108)
+    assert parse_rational("007/010") == Fraction(7, 10)
+    assert parse_rational("-0/5") == 0
 
 
 @pytest.mark.parametrize(
     "bad", ["", "1.5", "+3", "1/-2", "a/b", "1/2/3", "1/0", "--1", "\u0661/\u0663"]
 )
 def test_parse_rational_rejects_non_literals(bad):
-    with pytest.raises(ValueError):
+    message = "zero denominator" if bad == "1/0" else "not a rational literal"
+    with pytest.raises(ValueError, match=message):
         parse_rational(bad)
+
+
+def test_inexact_inputs_raise_type_error():
+    # No floats anywhere: a binary float or a string is rejected, never converted.
+    calls = [
+        lambda: euler_poly(3).eval(0.1),
+        lambda: euler_poly(2).eval("1/3"),
+        lambda: sawtooth(0.1),
+        lambda: bernoulli_function(2, 0.1),
+        lambda: euler_function(3, 0.1),
+        lambda: floor_frac("1/2"),
+        lambda: umbral_power([(0.5, 0, 0)], 3),
+        lambda: umbral_power([(1, "1/3", 0)], 3),
+        lambda: Poly([1, 0.5]),
+        lambda: Poly(["1/2"]),
+        lambda: Poly([1, 2]) * 0.5,
+        lambda: 0.5 * Poly([1, 2]),
+        lambda: format_rational(0.5),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            call()
 
 
 @given(rationals, rationals)
