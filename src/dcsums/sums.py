@@ -4,10 +4,19 @@ The *values* are the contract: each sum returns exactly the rational its
 defining summation gives.  The direct definitions live, term by term in
 ``Fraction`` arithmetic, in ``tests/oracles.py``, which shares no code with
 this module and re-checks it.  Here every summand is scaled onto one common
-denominator, so a sum accumulates Python ints in O(k) or O(hk) steps and
-builds a single ``Fraction`` at the end.  The scaling is the integer form of
-``Poly`` (see its docstring): ``P.scaled(m)`` holds the Horner coefficients
-of r -> m^p D P(r/m), with D = ``P.den``, and ``appell._horner`` runs it.
+denominator, so a sum accumulates Python ints and builds a single
+``Fraction`` at the end.  The scaling is the integer form of ``Poly`` (see
+its docstring): ``P.scaled(m)`` holds the Horner coefficients of
+r -> m^p D P(r/m), with D = ``P.den``, and ``appell._horner`` runs it.
+
+Each sum pairs its terms by a reflection x -> 1 - x of the residues, with
+E_p(1 - x) = (-1)^p E_p(x) and B_p(1 - x) = (-1)^p B_p(x): one evaluation
+serves a term and its mirror, so ``gen_dedekind_sum`` and ``dc_sum`` make
+about k/2 evaluations and ``theorem8_rhs`` about hk/2.  Summed directly
+are the terms the reflection fixes (u = k/2 of an even k) and those it does
+not map that way (residue 0, and n = hk on the lattice, which only a
+non-coprime h, k reaches).
+
 The classical Dedekind sum S(h,k) is computed as its p = 1 member S_1(h,k).
 Coprimality is demanded only where the definition itself needs it; theorem
 hypotheses are enforced by the audit registry, not here.
@@ -57,6 +66,11 @@ def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:
     With r = ah mod k, Bbar_p(ah/k) = B_p(r/k), and k^p D B_p(r/k) is the
     integer polynomial sum_i num_i r^i k^(p-i) in the Bernoulli coefficients,
     so S_p(h,k) = sum_a a (k^p D B_p(r/k)) / (D k^(p+1)).
+
+    Reflection: a and k - a have residues r and k - r (r is never 0, as h
+    and k are coprime), and B_p(1 - x) = (-1)^p B_p(x), so one evaluation
+    at r carries the weight a + (-1)^p (k - a) for each a < k/2.  The
+    self-paired a = k/2 of an even k is summed directly.
     """
     _require_positive("p", p)
     _require_positive("h", h)
@@ -64,8 +78,41 @@ def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:
     _require_coprime(h, k)
     poly = bernoulli_poly(p)
     b = poly.scaled(k)
-    total = sum(a * _horner(b, a * h % k) for a in range(1, k))
+    sign = -1 if p % 2 else 1
+    total = sum((a + sign * (k - a)) * _horner(b, a * h % k) for a in range(1, (k + 1) // 2))
+    if k % 2 == 0:
+        total += k // 2 * _horner(b, k // 2 * h % k)
     return Fraction(total, poly.den * k ** (p + 1))
+
+
+def _signed_line(b: tuple[int, ...], p: int, step: int, modulus: int, count: int) -> int:
+    """sum_{j=1}^{count-1} (-1)^(j+q-1) j P(r), with q, r = divmod(j step, modulus).
+
+    P is E_p scaled to the modulus (b = ``euler_poly(p).scaled(modulus)``),
+    and count step = c modulus for an integer c.  Then j and count - j have
+    residues r and modulus - r and quotients q and c - q - 1, and
+    P(modulus - r) = (-1)^p P(r), so one evaluation at r serves both, with
+    the weight j + (-1)^(count+c+1+p) (count - j).  Summed directly: the
+    self-paired j = count/2 of an even count, and r = 0, where the partner's
+    residue is 0 too and its quotient is c - q.
+    """
+    c = count * step // modulus
+    flip = 1 if (count + c + p) % 2 else -1
+    flip_at_zero = -1 if (count + c) % 2 else 1
+    total = 0
+    for j in range(1, (count + 1) // 2):
+        q, r = divmod(j * step, modulus)
+        if r:
+            term = (j + flip * (count - j)) * _horner(b, r)
+        else:
+            term = (j + flip_at_zero * (count - j)) * b[-1]
+        total += term if (j + q) % 2 else -term
+    if count % 2 == 0:
+        j = count // 2
+        q, r = divmod(j * step, modulus)
+        term = j * _horner(b, r)
+        total += term if (j + q) % 2 else -term
+    return total
 
 
 def dc_sum(p: int, h: int, k: int) -> Rational:
@@ -75,6 +122,11 @@ def dc_sum(p: int, h: int, k: int) -> Rational:
     k^p D E_p(r/k) is the integer polynomial sum_i num_i r^i k^(p-i), so
     T_p(h,k) = 2 sum_u (-1)^(u-1+q) u (k^p D E_p(r/k)) / (D k^(p+1)).
 
+    Reflection: u and k - u have residues r and k - r and quotients q and
+    h - q - 1, and E_p(1 - x) = (-1)^p E_p(x), so ``_signed_line`` makes one
+    evaluation for each u < k/2.  Summed directly: u = k/2 of an even k,
+    and r = 0, which only a non-coprime h, k reaches.
+
     The definition needs no coprimality, so none is demanded here; the
     reciprocity audits impose their own hypotheses.
     """
@@ -83,13 +135,7 @@ def dc_sum(p: int, h: int, k: int) -> Rational:
     _require_positive("h", h)
     _require_positive("k", k)
     poly = euler_poly(p)
-    b = poly.scaled(k)
-    total = 0
-    for u in range(1, k):
-        q, r = divmod(h * u, k)
-        term = u * _horner(b, r)
-        total += term if (u + q) % 2 else -term
-    return Fraction(2 * total, poly.den * k ** (p + 1))
+    return Fraction(2 * _signed_line(poly.scaled(k), p, h, k, k), poly.den * k ** (p + 1))
 
 
 def alt_power_sum(n: int, l: int) -> Rational:
@@ -117,6 +163,16 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
     E_p(r/(hk)); the plain form takes q, r = 0, n.  Since (hk)^p D E_p(r/(hk))
     is the integer polynomial sum_i num_i r^i (hk)^(p-i), the double sum is
     2 sum_{u,v} (-1)^(u+v-1+q) n ((hk)^p D E_p(r/(hk))) / (D hk).
+
+    Reflection, with m = hk: (u, v) -> (-u mod k, -v mod h) sends n to
+    m - n on the edges u = 0 and v = 0, and to 2m - n inside the lattice.
+    Each edge is one ``_signed_line``.  Inside, a point with n < m (q = 0,
+    r = n) pairs with one at 2m - n (q = 1, r = m - n), so one evaluation at
+    n serves both, with the weight n + (-1)^(h+k+1+p) (2m - n).  The plain
+    form's partner value is E_p(1 + y) = 2y^p - E_p(y) at y = (m - n)/m,
+    the periodic one plus 2y^p, which is 2D (m - n)^p in the integer form.
+    The points with n = m, which only a non-coprime h, k reaches, pair among
+    themselves and are summed directly.
     """
     _require_positive("p", p)
     _require_positive("h", h)
@@ -124,13 +180,19 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
     m = h * k
     poly = euler_poly(p)
     b = poly.scaled(m)
-    total = 0
-    for u in range(k):
-        for v in range(h):
-            n = u * h + v * k
-            q, r = divmod(n, m) if periodic else (0, n)
-            term = n * _horner(b, r)
-            total += term if (u + v + q) % 2 else -term
+    total = k * _signed_line(b, p, k, m, h) + h * _signed_line(b, p, h, m, k)
+    flip = 1 if (h + k + p) % 2 else -1
+    lift = 0 if periodic else (-2 if (h + k) % 2 else 2) * poly.den
+    for u in range(1, k):
+        for uv, n in enumerate(range(u * h + k, m, k), u + 1):  # uv = u + v, v >= 1
+            term = (n + flip * (2 * m - n)) * _horner(b, n)
+            if lift:
+                term += lift * (2 * m - n) * (m - n) ** p
+            total += term if uv % 2 else -term
+        if u * h % k == 0:  # n = m at v = h - uh/k
+            q, r = (1, 0) if periodic else (0, m)
+            term = m * _horner(b, r)
+            total += term if (u + h - u * h // k + q) % 2 else -term
     return Fraction(2 * total, poly.den * m)
 
 

@@ -1,6 +1,9 @@
+import ast
 import gc
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -405,3 +408,28 @@ def test_iter_params_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _bench_constants(*names):
+    """Module-level constants of perfbench/workloads.py, read with ast, not imported."""
+    tree = ast.parse(BENCH_WORKLOADS.read_text(encoding="utf-8"))
+    values = {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    return [ast.literal_eval(values[name]) for name in names]
+
+
+def test_stretch_grid_report_keeps_the_bench_sha256():
+    # The benchmark's reciprocity-stretch gate: thm8_periodic, whose sides are
+    # theorem8_rhs and two dc_sums, over its grid walked in ascending order.
+    digest, p_values, hk_max = _bench_constants("STRETCH_SHA256", "STRETCH_P", "STRETCH_HK_MAX")
+    hk = tuple(range(1, hk_max + 1))
+    grid = ParamGrid(p_values=p_values, h_values=hk, k_values=hk, odd_only=True, coprime_only=True)
+    report = sweep(["thm8_periodic"], grid)
+    assert report.results and all(r.holds and not r.skipped for r in report.results)
+    assert hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest() == digest

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dcsums import (
     alt_power_sum,
@@ -16,6 +17,22 @@ from dcsums import (
 )
 
 import oracles
+
+
+# Each kernel evaluates E_p or B_p once per reflection pair (u, k - u), or
+# (u, v) and its mirror on the lattice.  The property tests draw both
+# parities of p, h and k, h > k, k in {1, 2}, and common factors g, so they
+# reach the points a pairing must sum directly: the middle u = k/2, the
+# lattice centre (k/2, h/2), residue 0, and n = hk.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def moduli(draw):
+    """(h, k) <= 40; a drawn common factor g makes a non-coprime pair likely."""
+    g = draw(st.sampled_from((1, 1, 2, 3, 4, 6)))
+    side = st.one_of(st.sampled_from((1, 2)), st.integers(1, 40 // g))
+    return g * draw(side), g * draw(side)
 
 
 # --- classical Dedekind sums -------------------------------------------------
@@ -69,6 +86,16 @@ def test_gen_dedekind_sum_matches_direct_oracle():
     assert gen_dedekind_sum(5, 3, 1001) == oracles.gen_dedekind(5, 3, 1001)
 
 
+@PROPERTY
+@given(st.integers(1, 9), moduli())
+@example(2, (3, 2)).via("the middle a = k/2 at even p")
+@example(1, (40, 39)).via("h > k")
+def test_gen_dedekind_sum_property(p, hk):
+    h, k = hk
+    assume(gcd(h, k) == 1)
+    assert gen_dedekind_sum(p, h, k) == oracles.gen_dedekind(p, h, k)
+
+
 def test_gen_dedekind_sum_preconditions():
     with pytest.raises(ValueError):
         gen_dedekind_sum(0, 1, 3)
@@ -110,6 +137,15 @@ def test_dc_sum_allows_non_coprime_arguments():
             for k in (1, 2, 3, 4, 6, 9, 10):
                 assert dc_sum(p, h, k) == oracles.dc(p, h, k)
     assert dc_sum(7, 3, 1001) == oracles.dc(7, 3, 1001)
+
+
+@PROPERTY
+@given(st.integers(0, 9), moduli())
+@example(0, (3, 6)).via("residue 0 at u = 2 and the middle u = 3, p = 0")
+@example(2, (3, 2)).via("the middle u = k/2 at even p")
+def test_dc_sum_property(p, hk):
+    h, k = hk
+    assert dc_sum(p, h, k) == oracles.dc(p, h, k)
 
 
 def test_dc_sum_matches_distribution_expansion():
@@ -183,6 +219,16 @@ def test_theorem8_rhs_matches_direct_oracle():
                     )
     for periodic in (True, False):
         assert theorem8_rhs(5, 7, 61, periodic) == oracles.t8_rhs(5, 7, 61, periodic)
+
+
+@PROPERTY
+@given(st.integers(1, 9), moduli(), st.booleans())
+@example(2, (4, 6), True).via("the centre (k/2, h/2) and n = hk, periodic")
+@example(2, (4, 6), False).via("the centre (k/2, h/2) and n = hk, plain")
+@example(3, (6, 3), True).via("n = hk off the centre, odd p")
+def test_theorem8_rhs_property(p, hk, periodic):
+    h, k = hk
+    assert theorem8_rhs(p, h, k, periodic) == oracles.t8_rhs(p, h, k, periodic)
 
 
 # --- lattice partition -----------------------------------------------------------
