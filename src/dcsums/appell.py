@@ -5,9 +5,10 @@ Both number sequences come from one integer table of tangent numbers T_m,
     E_(2m-1) = (-1)^m T_m / 2^(2m-1)
     B_(2m)   = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))        (m >= 1)
 
-and both polynomial families from one Appell expansion around those numbers,
-E_n(x) = sum_l C(n,l) E_l x^(n-l), evaluated on integers by ``Poly.scaled``
-plus ``_horner`` (``Poly.eval`` included).  An independent path, truncated
+which also gives the integers e_s = 2^s E_s, and both polynomial families
+from one Appell expansion around those numbers, E_n(x) = sum_l C(n,l) E_l
+x^(n-l), evaluated on integers by ``Poly.scaled`` plus ``_horner``
+(``Poly.ratio`` and ``Poly.eval`` included).  An independent path, truncated
 power-series division of the generating functions 2e^{xt}/(e^t+1) and
 t e^{xt}/(e^t-1), lives in ``tests/oracles.py``; the tests and a demo use it
 to cross-check this one.
@@ -68,9 +69,13 @@ class Poly:
         return len(self.coeffs) - 1
 
     def eval(self, x: Rational | int) -> Rational:
-        """Exact P(x): ``scaled`` and ``_horner`` at n for x = n/m, then one Fraction."""
-        n, m = exact(x).as_integer_ratio()
-        return Fraction(_horner(self.scaled(m), n), self.den * m ** max(self.degree, 0))
+        """Exact P(x): ``ratio`` at x = n/m, then one Fraction."""
+        return Fraction(*self.ratio(*exact(x).as_integer_ratio()))
+
+    def ratio(self, n: int, m: int = 1) -> tuple[int, int]:
+        """P(n/m) as the unreduced pair (m^d den P(n/m), m^d den): one ``_horner`` pass."""
+        b = self.scaled(m)
+        return _horner(b, n), self.den * m ** max(len(b) - 1, 0)
 
     def scaled(self, m: int) -> tuple[int, ...]:
         """Horner coefficients, highest power first, of n -> m^d den P(n/m)."""
@@ -141,21 +146,22 @@ def _horner(b: tuple[int, ...], r: int) -> int:
     return acc
 
 
-# The pair (E_0..E_N, B_0..B_N).  An index past the end rebuilds both from
-# one tangent table at least twice the size.  The pair is bound in a single
-# assignment, so a reader on another thread sees the old or the new pair,
-# both correct prefixes of equal length, and no lock is needed.
-_NUMBERS: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = ((), ())
+# The triple (E_0..E_N, B_0..B_N, e_0..e_N) with e_s = 2^s E_s, an integer.
+# An index past the end rebuilds all three from one tangent table at least
+# twice the size.  The triple is bound in a single assignment, so a reader on
+# another thread sees the old or the new one, each a correct prefix of equal
+# length, and no lock is needed.
+_NUMBERS: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, ...]] = ((), (), ())
 
 
-def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Publish and return E_0..E_(2top) and B_0..B_(2top) for some 2top > n.
+def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, ...]]:
+    """Publish and return E_0..E_(2top), B_0..B_(2top) and e_0..e_(2top) for some 2top > n.
 
     Fills the integer table T_1..T_top of tangent numbers (Knuth &
     Buckholtz, Math. Comp. 21, 1967; Brent & Harvey, arXiv:1108.0286,
     Algorithm TangentNumbers) and maps it by the formulas in the module
-    docstring.  E_0 = B_0 = 1, B_1 = -1/2, and E_(2m), B_(2m+1) vanish for
-    m >= 1.
+    docstring, so e_(2m-1) = (-1)^m T_m.  E_0 = B_0 = 1, B_1 = -1/2, and
+    E_(2m), B_(2m+1) vanish for m >= 1.
     """
     global _NUMBERS
     top = max(n // 2 + 1, len(_NUMBERS[0]))
@@ -165,34 +171,40 @@ def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     for k in range(2, top + 1):
         for j in range(k, top + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    euler = [Fraction(1)] + [Fraction(0)] * (2 * top)
+    e = [1] + [0] * (2 * top)
     bernoulli = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (2 * top - 1)
     for m in range(1, top + 1):
         sign = -1 if m % 2 else 1
-        euler[2 * m - 1] = Fraction(sign * t[m], 2 ** (2 * m - 1))
+        e[2 * m - 1] = sign * t[m]
         bernoulli[2 * m] = Fraction(-sign * 2 * m * t[m], 4**m * (4**m - 1))
-    _NUMBERS = numbers = (tuple(euler), tuple(bernoulli))
+    euler = tuple(Fraction(n, 2**s) for s, n in enumerate(e))
+    _NUMBERS = numbers = (euler, tuple(bernoulli), tuple(e))
     return numbers
 
 
-def _number(which: int, n: int) -> Rational:
-    """E_n (which = 0) or B_n (which = 1), from the pair this call read or built."""
+def _numbers(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, ...]]:
+    """The published triple if it reaches index n, else the one this call builds."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     numbers = _NUMBERS
-    if n >= len(numbers[which]):
+    if n >= len(numbers[0]):
         numbers = _rebuild(n)
-    return numbers[which][n]
+    return numbers
+
+
+def _euler_ints(n: int) -> tuple[int, ...]:
+    """e_0..e_N for some N >= n, with e_s = 2^s E_s: the Euler numbers as integers."""
+    return _numbers(n)[2]
 
 
 def euler_number(n: int) -> Rational:
     """n-th Euler number E_n = E_n(0); E_1 = -1/2 and E_{2k} = 0 for k >= 1."""
-    return _number(0, n)
+    return _numbers(n)[0][n]
 
 
 def bernoulli_number(n: int) -> Rational:
     """n-th Bernoulli number with B_1 = -1/2."""
-    return _number(1, n)
+    return _numbers(n)[1][n]
 
 
 def _appell_poly(n: int, number: Callable[[int], Rational]) -> Poly:

@@ -14,6 +14,8 @@ Residuals are always lhs - rhs, with lhs the side holding the sum being
 characterized (a DC sum, a lattice sum, or the audited integral), so signs
 are comparable across reports.  Tuples that violate a check's hypotheses
 become ``skipped`` entries rather than failures, keeping grids rectangular.
+Each side builds one ``Fraction`` from integers, on the integer side
+protocol of ``umbral``, and the engine keeps the values a side returns.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from itertools import product
 from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .appell import Poly, euler_number, euler_poly, poly_integral
+from .appell import Poly, _horner, euler_number, euler_poly, poly_integral
 from .rationals import Rational, binomial
 from .sums import alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
-from .umbral import _umbral, lattice_power_sum, theorem9_rhs
+from .umbral import _euler_pairs, _pair_sum, _umbral, lattice_power_sum, theorem9_rhs
 
 __all__ = [
     "IdentityCheck",
@@ -55,8 +57,8 @@ class IdentityCheck:
 
     ``hk_symmetric`` promises that both sides, as written, keep their values
     when h and k are exchanged, at every (h, k) whether or not the claim
-    holds there.  ``sweep`` then evaluates a tuple whose (h, k) mirror it
-    has already evaluated in the same walk from the mirror's two sides.
+    holds there.  ``sweep`` then gives a tuple whose (h, k) mirror it has
+    already evaluated in the same walk the mirror's sides and residual.
     A side that is symmetric only where the identity holds (thm7, thm9,
     eq10) must not carry the flag: that agreement is what the audit measures.
     """
@@ -164,15 +166,24 @@ def _integral_01_x_times_euler(p: int) -> Fraction:
 
 
 def _binomial_euler_sum(p: int) -> Fraction:
-    return _umbral(p, euler_number, lambda j: Fraction(1, j + 2))
+    return Fraction(*_umbral(p, _euler_pairs(p), lambda j: (1, j + 2)))
 
 
 def _lemma1_corrected_value(p: int) -> Fraction:
     return 2 * euler_number(p + 2) / Fraction((p + 1) * (p + 2))
 
 
+_ZERO = Fraction(0)
+
+
 def _zero(p: int) -> Fraction:
-    return Fraction(0)
+    return _ZERO
+
+
+def _plus_euler_number(side: tuple[int, int], c: int, p: int) -> Fraction:
+    """The pair side plus c E_p, as one Fraction."""
+    num, den = _euler_pairs(p)(p)
+    return Fraction(*_pair_sum([side, (c * num, den)]))
 
 
 def _scaled_dc_sum(p: int, m: int) -> Fraction:
@@ -181,11 +192,12 @@ def _scaled_dc_sum(p: int, m: int) -> Fraction:
 
 
 def _reciprocity_lhs(p: int, h: int, k: int) -> Fraction:
-    return k**p * dc_sum(p, h, k) + h**p * dc_sum(p, k, h)
+    (a, b), (c, d) = dc_sum(p, h, k).as_integer_ratio(), dc_sum(p, k, h).as_integer_ratio()
+    return Fraction(k**p * a * d + h**p * c * b, b * d)
 
 
 def _derivative_sum_lhs(p: int, s: int) -> Fraction:
-    return _umbral(p, euler_number, lambda j: binomial(j + 1, s))
+    return Fraction(*_umbral(p, _euler_pairs(p), lambda j: (binomial(j + 1, s), 1)))
 
 
 def _derivative_sum_rhs(p: int, s: int) -> Fraction:
@@ -200,28 +212,47 @@ def _derivative_sum_rhs(p: int, s: int) -> Fraction:
 # The DC-sum sides below are (E + B)^p for a B^j built from index j = p - v.
 
 def _dc_closed_form_rhs(p: int, m: int) -> Fraction:
-    return _umbral(p, euler_number, lambda j: Fraction(
-        euler_poly(j + 1).eval(m) - euler_number(j + 1), m ** (j + 1)))
+    def b(j: int) -> tuple[int, int]:  # (E_(j+1)(m) - E_(j+1)) / m^(j+1)
+        poly = euler_poly(j + 1)
+        num, den = poly.ratio(m)
+        return num - poly.num[0], den * m ** (j + 1)
+
+    return Fraction(*_umbral(p, _euler_pairs(p), b))
+
+
+def _euler_row(e: Callable[[int], tuple[int, int]], p: int, m: int, j: int,
+               first: int, last: int) -> tuple[int, int]:
+    """sum_{i=first}^{last} C(j+1,i) E_i m^(p-i), with E_i the pair e(i)."""
+    terms = []
+    for i in range(first, last + 1):
+        num, den = e(i)
+        terms.append((binomial(j + 1, i) * num * m ** (p - i), den))
+    return _pair_sum(terms)
 
 
 def _dc_double_sum_rhs(p: int, m: int) -> Fraction:
-    return _umbral(p, euler_number, lambda j: sum(
-        (binomial(j + 1, i) * euler_number(i) * m ** (p - i) for i in range(j + 1)),
-        Fraction(0)))
+    e = _euler_pairs(p)
+    return Fraction(*_umbral(p, e, lambda j: _euler_row(e, p, m, j, 0, j)))
 
 
 def _dc_split_sum_rhs(p: int, m: int) -> Fraction:
-    # The middle sum runs over 1 <= i <= p - 2 and v <= p - i, that is i <= j.
-    middle = _umbral(p, euler_number, lambda j: sum(
-        (binomial(j + 1, i) * euler_number(i) * m ** (p - i)
-         for i in range(1, min(j, p - 2) + 1)),
-        Fraction(0)))
-    return _umbral(p, euler_number, lambda j: 1) * m**p + middle + (p + 1) * euler_number(p)
+    # (E + 1)^p m^p + the middle sum over 1 <= i <= p - 2 and v <= p - i,
+    # that is i <= j, + (p+1) E_p; the first two share one convolution.
+    e = _euler_pairs(p)
+
+    def b(j: int) -> tuple[int, int]:
+        return _pair_sum([(m**p, 1), _euler_row(e, p, m, j, 1, min(j, p - 2))])
+
+    return _plus_euler_number(_umbral(p, e, b), p + 1, p)
 
 
-def _closed_mixed_sum(p: int, x: int) -> Fraction:
+def _closed_mixed_sum(p: int, x: int) -> tuple[int, int]:
     """sum_s C(p,s) x^(p-s) E_s E_(p-s)(1): thm7's lhs at x = hk; thm6's rhs is it + p E_p."""
-    return _umbral(p, euler_number, lambda j: x**j * euler_poly(j).eval(1))
+    def b(j: int) -> tuple[int, int]:
+        num, den = euler_poly(j).ratio(1)
+        return x**j * num, den
+
+    return _umbral(p, _euler_pairs(p), b)
 
 
 def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
@@ -230,27 +261,33 @@ def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
 
 
 def _addition_lhs(p: int, h: int, k: int) -> Fraction:
-    x, y = Fraction(h, k), Fraction(k, h)
-    return euler_poly(p).eval(x + y)
+    # E_p(x + y) at x = h/k, y = k/h.
+    return Fraction(*euler_poly(p).ratio(h * h + k * k, h * k))
 
 
 def _addition_rhs(p: int, h: int, k: int) -> Fraction:
-    x, y = Fraction(h, k), Fraction(k, h)
-    return _umbral(p, lambda s: euler_poly(s).eval(x), lambda j: y**j)
+    return Fraction(*_umbral(p, lambda s: euler_poly(s).ratio(h, k), lambda j: (k**j, h**j)))
+
+
+def _eq7_rhs(sign: int, n: int, l: int) -> Fraction:
+    """sign E_l(n) + E_l."""
+    poly = euler_poly(l)
+    num, den = poly.ratio(n)
+    return Fraction(sign * num + poly.num[0], den)
 
 
 def _multiplication_lhs(p: int, m: int) -> Fraction:
-    x = Fraction(1, 2 * m)
-    return euler_poly(p).eval(m * x)
+    # E_p(m x) at x = 1/(2m).
+    return Fraction(*euler_poly(p).ratio(m, 2 * m))
 
 
 def _multiplication_rhs(p: int, m: int) -> Fraction:
-    x = Fraction(1, 2 * m)
-    total = Fraction(0)
-    for s in range(m):
-        term = euler_poly(p).eval(x + Fraction(s, m))
-        total += term if s % 2 == 0 else -term
-    return m**p * total
+    # m^p sum_s (-1)^s E_p(x + s/m) at x = 1/(2m): the points (2s + 1)/(2m)
+    # share one scaled vector, and m^p cancels to 2^p in the denominator.
+    poly = euler_poly(p)
+    b = poly.scaled(2 * m)
+    total = sum((-1) ** s * _horner(b, 2 * s + 1) for s in range(m))
+    return Fraction(total, poly.den << p)
 
 
 def _dedekind_recip_lhs(h: int, k: int) -> Fraction:
@@ -294,10 +331,10 @@ def _thm8_range(p: int, h: int, k: int) -> bool:
 
 _CHECKS = (
     IdentityCheck("eq7_printed", ("n", "l"), _eq7_range, alt_power_sum,
-                  lambda n, l: (-1) ** (n % 2) * euler_poly(l).eval(n) + euler_number(l),
+                  lambda n, l: _eq7_rhs((-1) ** (n % 2), n, l),
                   "alternating power sum vs printed (-1)^n E_l(n) + E_l"),
     IdentityCheck("eq7_corrected", ("n", "l"), _eq7_range, alt_power_sum,
-                  lambda n, l: (-1) ** ((n + 1) % 2) * euler_poly(l).eval(n) + euler_number(l),
+                  lambda n, l: _eq7_rhs((-1) ** ((n + 1) % 2), n, l),
                   "alternating power sum vs corrected (-1)^(n+1) E_l(n) + E_l"),
     IdentityCheck("eq10", ("p", "h", "k"), lambda p, h, k: p >= 0 and h >= 1 and k >= 1,
                   _addition_lhs, _addition_rhs,
@@ -329,11 +366,11 @@ _CHECKS = (
     IdentityCheck("prop5", ("p", "m"), _odd_p_odd_m, _scaled_dc_sum, _dc_split_sum_rhs,
                   "m^p T_p(1,m) vs the split form ending in (p+1) E_p"),
     IdentityCheck("thm6", ("p", "m"), lambda p, m: p > 1 and _odd_p_odd_m(p, m),
-                  _scaled_dc_sum, lambda p, m: _closed_mixed_sum(p, m) + p * euler_number(p),
+                  _scaled_dc_sum, lambda p, m: _plus_euler_number(_closed_mixed_sum(p, m), p, p),
                   "m^p T_p(1,m) vs sum C(p,i) E_(p-i)(1) E_i m^(p-i) + p E_p"),
     IdentityCheck("thm7", ("p", "h", "k"),
                   lambda p, h, k: p > 1 and _odd_p(p) and k % 2 == 1 and _coprime(h, k),
-                  lambda p, h, k: _closed_mixed_sum(p, h * k), _mixed_double_rhs,
+                  lambda p, h, k: Fraction(*_closed_mixed_sum(p, h * k)), _mixed_double_rhs,
                   "closed mixed Euler sum vs the k^p weighted double sum"),
     IdentityCheck("thm8_periodic", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
                   lambda p, h, k: theorem8_rhs(p, h, k, periodic=True),
@@ -387,29 +424,32 @@ def get_check(check_id: str) -> IdentityCheck:
         raise ValueError(f"unknown check id {check_id!r}") from None
 
 
+def _fraction(value: Rational | int) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _evaluate(
     check: IdentityCheck,
     params: Mapping[str, int],
-    seen: dict[tuple[int, ...], tuple[Fraction, Fraction]] | None = None,
+    seen: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction, bool]] | None = None,
 ) -> CheckResult:
     """One instance.  ``seen``, given for an hk_symmetric check, holds the
-    sides of the tuples evaluated earlier in the walk; a tuple whose (h, k)
-    mirror is there takes (and removes) those sides and computes its own
-    residual."""
+    sides, residual and verdict of the tuples evaluated earlier in the walk;
+    a tuple whose (h, k) mirror is there takes (and removes) them."""
     ordered = {name: operator.index(params[name]) for name in check.param_names}
     if not check.hypotheses(**ordered):
         return CheckResult(check.id, ordered, None, None, None, False, True)
-    sides = None
+    values = None
     if seen is not None:
         mirror = {**ordered, "h": ordered["k"], "k": ordered["h"]}
-        sides = seen.pop(tuple(mirror.values()), None)
-    if sides is None:
-        sides = Fraction(check.lhs(**ordered)), Fraction(check.rhs(**ordered))
+        values = seen.pop(tuple(mirror.values()), None)
+    if values is None:
+        lhs, rhs = _fraction(check.lhs(**ordered)), _fraction(check.rhs(**ordered))
+        holds = lhs == rhs
+        values = lhs, rhs, _ZERO if holds else lhs - rhs, holds
         if seen is not None:
-            seen[tuple(ordered.values())] = sides
-    lhs, rhs = sides
-    residual = lhs - rhs
-    return CheckResult(check.id, ordered, lhs, rhs, residual, residual == 0, False)
+            seen[tuple(ordered.values())] = values
+    return CheckResult(check.id, ordered, *values, False)
 
 
 def _walk(check: IdentityCheck, grid: ParamGrid) -> Iterator[CheckResult]:
@@ -443,9 +483,9 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     would evaluate each of its tuples twice and double its tallies.
 
     For an ``hk_symmetric`` check, a tuple whose (h, k) mirror came earlier
-    in the same check's walk reuses the mirror's exact lhs and rhs (the
-    ascending walk meets h < k first); every result still carries its own
-    params and residual, equal to what ``run_check`` gives.  The reuse is
+    in the same check's walk reuses the mirror's exact lhs, rhs and residual
+    (the ascending walk meets h < k first); every result still carries its
+    own params, and values equal to what ``run_check`` gives.  The reuse is
     local to one call: nothing is kept between sweeps.
     """
     if len(set(ids)) != len(ids):

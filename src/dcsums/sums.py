@@ -10,12 +10,25 @@ its docstring): ``P.scaled(m)`` holds the Horner coefficients of
 r -> m^p D P(r/m), with D = ``P.den``, and ``appell._horner`` runs it.
 
 Each sum pairs its terms by a reflection x -> 1 - x of the residues, with
-E_p(1 - x) = (-1)^p E_p(x) and B_p(1 - x) = (-1)^p B_p(x): one evaluation
-serves a term and its mirror, so ``gen_dedekind_sum`` and ``dc_sum`` make
-about k/2 evaluations and ``theorem8_rhs`` about hk/2.  Summed directly
-are the terms the reflection fixes (u = k/2 of an even k) and those it does
-not map that way (residue 0, and n = hk on the lattice, which only a
-non-coprime h, k reaches).
+E_p(1 - x) = (-1)^p E_p(x) and B_p(1 - x) = (-1)^p B_p(x), so one
+evaluation serves a term and its mirror, about k/2 or hk/2 in all:
+
+- ``gen_dedekind_sum``: a and k - a have residues r and k - r (never 0
+  for coprime h, k); the weight is a + (-1)^p (k - a).
+- ``_signed_line`` (all of ``dc_sum``, and each edge of ``theorem8_rhs``):
+  with count step = c modulus, j and count - j have residues r and
+  modulus - r and quotients q and c - q - 1; the weight is
+  j + (-1)^(count+c+1+p) (count - j).  At r = 0 the partner's residue is
+  0 too and its quotient c - q.
+- ``theorem8_rhs``, m = hk: (u, v) -> (-u mod k, -v mod h) sends
+  n = uh + vk to m - n on the edges u = 0, v = 0, and inside the lattice
+  a point with n < m (q = 0, r = n) to 2m - n (q = 1, r = m - n); the
+  weight is n + (-1)^(h+k+1+p) (2m - n).  The plain form's partner value
+  E_p(1 + y) = 2y^p - E_p(y), y = (m - n)/m, adds 2D (m - n)^p.
+
+Summed directly are the terms the reflection fixes (the middle of an even
+count) and those it does not pair that way (residue 0, and n = m on the
+lattice, which only a non-coprime h, k reaches).
 
 The classical Dedekind sum S(h,k) is computed as its p = 1 member S_1(h,k).
 Coprimality is demanded only where the definition itself needs it; theorem
@@ -66,11 +79,6 @@ def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:
     With r = ah mod k, Bbar_p(ah/k) = B_p(r/k), and k^p D B_p(r/k) is the
     integer polynomial sum_i num_i r^i k^(p-i) in the Bernoulli coefficients,
     so S_p(h,k) = sum_a a (k^p D B_p(r/k)) / (D k^(p+1)).
-
-    Reflection: a and k - a have residues r and k - r (r is never 0, as h
-    and k are coprime), and B_p(1 - x) = (-1)^p B_p(x), so one evaluation
-    at r carries the weight a + (-1)^p (k - a) for each a < k/2.  The
-    self-paired a = k/2 of an even k is summed directly.
     """
     _require_positive("p", p)
     _require_positive("h", h)
@@ -89,12 +97,7 @@ def _signed_line(b: tuple[int, ...], p: int, step: int, modulus: int, count: int
     """sum_{j=1}^{count-1} (-1)^(j+q-1) j P(r), with q, r = divmod(j step, modulus).
 
     P is E_p scaled to the modulus (b = ``euler_poly(p).scaled(modulus)``),
-    and count step = c modulus for an integer c.  Then j and count - j have
-    residues r and modulus - r and quotients q and c - q - 1, and
-    P(modulus - r) = (-1)^p P(r), so one evaluation at r serves both, with
-    the weight j + (-1)^(count+c+1+p) (count - j).  Summed directly: the
-    self-paired j = count/2 of an even count, and r = 0, where the partner's
-    residue is 0 too and its quotient is c - q.
+    and count step is a multiple of the modulus.
     """
     c = count * step // modulus
     flip = 1 if (count + c + p) % 2 else -1
@@ -120,12 +123,8 @@ def dc_sum(p: int, h: int, k: int) -> Rational:
 
     With q, r = divmod(hu, k), Ebar_p(hu/k) = (-1)^q E_p(r/k), and
     k^p D E_p(r/k) is the integer polynomial sum_i num_i r^i k^(p-i), so
-    T_p(h,k) = 2 sum_u (-1)^(u-1+q) u (k^p D E_p(r/k)) / (D k^(p+1)).
-
-    Reflection: u and k - u have residues r and k - r and quotients q and
-    h - q - 1, and E_p(1 - x) = (-1)^p E_p(x), so ``_signed_line`` makes one
-    evaluation for each u < k/2.  Summed directly: u = k/2 of an even k,
-    and r = 0, which only a non-coprime h, k reaches.
+    T_p(h,k) = 2 sum_u (-1)^(u-1+q) u (k^p D E_p(r/k)) / (D k^(p+1)),
+    which is ``_signed_line`` with step h and modulus and count k.
 
     The definition needs no coprimality, so none is demanded here; the
     reciprocity audits impose their own hypotheses.
@@ -163,16 +162,6 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
     E_p(r/(hk)); the plain form takes q, r = 0, n.  Since (hk)^p D E_p(r/(hk))
     is the integer polynomial sum_i num_i r^i (hk)^(p-i), the double sum is
     2 sum_{u,v} (-1)^(u+v-1+q) n ((hk)^p D E_p(r/(hk))) / (D hk).
-
-    Reflection, with m = hk: (u, v) -> (-u mod k, -v mod h) sends n to
-    m - n on the edges u = 0 and v = 0, and to 2m - n inside the lattice.
-    Each edge is one ``_signed_line``.  Inside, a point with n < m (q = 0,
-    r = n) pairs with one at 2m - n (q = 1, r = m - n), so one evaluation at
-    n serves both, with the weight n + (-1)^(h+k+1+p) (2m - n).  The plain
-    form's partner value is E_p(1 + y) = 2y^p - E_p(y) at y = (m - n)/m,
-    the periodic one plus 2y^p, which is 2D (m - n)^p in the integer form.
-    The points with n = m, which only a non-coprime h, k reaches, pair among
-    themselves and are summed directly.
     """
     _require_positive("p", p)
     _require_positive("h", h)

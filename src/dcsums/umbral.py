@@ -11,10 +11,14 @@ single unshifted umbra recovers the plain Euler numbers: (E + 0)^p = E_p.
 Duplicate umbra ids are rejected — there is no defined semantics for adding
 two shifted copies of one umbra.
 
-Every evaluation runs on integers and builds one ``Fraction`` per result:
-``_umbral`` adds its terms over one common denominator, and ``umbral_power``
-reads each umbra's values a^s E_s(x), s <= p, from the integer form of
-``Poly`` (``scaled`` plus ``_horner``) once per call.
+The integer side protocol: ``_umbral`` reads each power A^s, B^j as an
+unreduced pair (numerator, denominator) of ints and returns its sum as one
+such pair, which ``_pair_sum`` adds over the lcm of the term denominators.
+Its callers, here and in the audit's sides, take E_s only from
+``_euler_pairs``, as (2^s E_s, 2^s) from the integer table in ``appell``,
+and polynomial values from the integer form of ``Poly``; they add pairs with
+``_pair_sum`` and build one ``Fraction`` per result.  ``umbral_power`` folds
+its umbrae as pairs.
 
 ``lattice_power_sum`` is the one kernel behind the theorem 7 and 9 right
 sides.  With z_u = hu + k(h - floor(hu/k)), each lattice power is
@@ -32,14 +36,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .appell import _horner, euler_number, euler_poly
+from .appell import _euler_ints, _horner, euler_poly
 from .rationals import Rational, binomial, exact
 
 __all__ = ["umbral_power", "theorem9_rhs"]
 
+Pair = tuple[int, int]
 
-def _as_terms(terms: Iterable[tuple]) -> list[tuple[Fraction, Fraction, int]]:
-    out = [(Fraction(exact(coeff)), Fraction(exact(shift)), umbra)
+
+def _as_terms(terms: Iterable[tuple]) -> list[tuple[Pair, Pair, int]]:
+    out = [(exact(coeff).as_integer_ratio(), exact(shift).as_integer_ratio(), umbra)
            for coeff, shift, umbra in terms]
     ids = [umbra for _, _, umbra in out]
     if len(set(ids)) != len(ids):
@@ -47,27 +53,33 @@ def _as_terms(terms: Iterable[tuple]) -> list[tuple[Fraction, Fraction, int]]:
     return out
 
 
-def _umbral(p: int, a: Callable[[int], Rational], b: Callable[[int], Rational]) -> Fraction:
-    """(A + B)^p = sum_s C(p,s) a(s) b(p-s), reading A^s as a(s) and B^j as b(j).
+def _euler_pairs(p: int) -> Callable[[int], Pair]:
+    """s -> E_s as the pair (2^s E_s, 2^s), for s <= p."""
+    e = _euler_ints(p)
+    return [(e[s], 1 << s) for s in range(p + 1)].__getitem__
 
-    The terms add as ints over the lcm of their denominators.  b(p-s) is not
-    consulted where C(p,s) a(s) = 0 (half the Euler numbers)."""
-    nums, dens = [], []
+
+def _pair_sum(pairs: Sequence[Pair]) -> Pair:
+    """The sum of the pairs, over the lcm of their denominators."""
+    den = lcm(*[d for _, d in pairs])
+    return sum([n * (den // d) for n, d in pairs]), den
+
+
+def _umbral(p: int, a: Callable[[int], Pair], b: Callable[[int], Pair]) -> Pair:
+    """(A + B)^p = sum_s C(p,s) a(s) b(p-s), with b(p-s) unread where a(s) = 0."""
+    terms = []
     for s in range(p + 1):
-        an, ad = a(s).as_integer_ratio()
+        an, ad = a(s)
         if an:
-            bn, bd = b(p - s).as_integer_ratio()
-            nums.append(binomial(p, s) * an * bn)
-            dens.append(ad * bd)
-    den = lcm(*dens)
-    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+            bn, bd = b(p - s)
+            terms.append((binomial(p, s) * an * bn, ad * bd))
+    return _pair_sum(terms)
 
 
-def _sequence(coeff: Fraction, shift: Fraction, p: int) -> list[Fraction]:
-    """a^s E_s(x) for s = 0..p at a = coeff, x = shift, one Horner pass each."""
-    c, d = coeff.as_integer_ratio()
-    n, m = shift.as_integer_ratio()
-    return [Fraction(c**s * _horner(e.scaled(m), n), (d * m) ** s * e.den)
+def _sequence(coeff: Pair, shift: Pair, p: int) -> list[Pair]:
+    """a^s E_s(x) for s = 0..p at a = c/d, x = n/m."""
+    (c, d), (n, m) = coeff, shift
+    return [(c**s * _horner(e.scaled(m), n), (d * m) ** s * e.den)
             for s, e in enumerate(map(euler_poly, range(p + 1)))]
 
 
@@ -86,20 +98,20 @@ def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
         return Fraction(int(p == 0))
     first, *rest = [_sequence(coeff, shift, p) for coeff, shift, _ in ts]
     if not rest:
-        return first[p]
+        return Fraction(*first[p])
     tail = rest.pop()
     for seq in reversed(rest):
         tail = [_umbral(j, seq.__getitem__, tail.__getitem__) for j in range(p + 1)]
-    return _umbral(p, first.__getitem__, tail.__getitem__)
+    return Fraction(*_umbral(p, first.__getitem__, tail.__getitem__))
 
 
 def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Rational:
     """Sum over u in [0, k) of weight(u, j) (kh(E + u/k) + k(E' + h - j))^p, j = floor(hu/k)."""
     # Doubled umbrae stay integral: e_s = 2^s E_s, moments[t] = 2^t M_t, and
     # sums[i] = sum_u weight (2 z_u)^i; each product carries 2^p.
-    e = [q.numerator * (2**s // q.denominator)
-         for s, q in enumerate(map(euler_number, range(p + 1)))]
-    moments = [k**t * sum(binomial(t, s) * h**s * e[s] * e[t - s] for s in range(t + 1) if e[s])
+    e = _euler_ints(p)
+    moments = [k**t * sum(binomial(t, s) * h**s * e[s] * e[t - s]
+                          for s in range(t + 1) if e[s] and e[t - s])
                for t in range(p + 1)]
     sums = [0] * (p + 1)
     for u in range(k):
@@ -127,4 +139,6 @@ def theorem9_rhs(p: int, h: int, k: int) -> Rational:
         raise ValueError(f"power must be odd and positive, got {p}")
     odd = lattice_power_sum(p, h, k, lambda u, j: (u - j) % 2)
     mixed = umbral_power([(h, 0, 0), (k, 0, 1)], p)
-    return 2 * odd + mixed + (p + 2) * euler_number(p)
+    # Each term is an integer over 2^p: 2^p E_p = e_p, and see lattice_power_sum.
+    odd_num, mixed_num = (q.numerator * (2**p // q.denominator) for q in (odd, mixed))
+    return Fraction(2 * odd_num + mixed_num + (p + 2) * _euler_ints(p)[p], 2**p)

@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+# When a property test fails, hypothesis's pytest plugin imports this module
+# while it writes the report.  Where libcst is installed, that import raises a
+# DeprecationWarning (from mypy_extensions), which pyproject.toml's
+# filterwarnings = ["error"] turns into an INTERNALERROR that ends the whole
+# session.  Importing it once here, with only that category ignored, keeps
+# one failing test from hiding the results of every test after it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")
