@@ -1,17 +1,17 @@
 """Euler and Bernoulli numbers and polynomials with exact coefficients.
 
-Both number sequences come from one integer table of tangent numbers T_m,
+Both number sequences are stored as one integer table e_s = 2^s E_s, with
+e_0 = 1, e_(2m-1) = (-1)^m T_m for the tangent numbers T_m, e_(2m) = 0:
 
-    E_(2m-1) = (-1)^m T_m / 2^(2m-1)
-    B_(2m)   = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))        (m >= 1)
+    E_n = e_n / 2^n,    B_n = -n e_(n-1) / (2^n (2^n - 1))    (n >= 1; B_0 = 1),
 
-which also gives the integers e_s = 2^s E_s, and both polynomial families
-from one Appell expansion around those numbers, E_n(x) = sum_l C(n,l) E_l
-x^(n-l), evaluated on integers by ``Poly.scaled`` plus ``_horner``
-(``Poly.ratio`` and ``Poly.eval`` included).  An independent path, truncated
-power-series division of the generating functions 2e^{xt}/(e^t+1) and
-t e^{xt}/(e^t-1), lives in ``tests/oracles.py``; the tests and a demo use it
-to cross-check this one.
+the second from E_(n-1)(0) = -2 (2^n - 1) B_n / n (Abramowitz & Stegun
+23.1.20).  Both polynomial families come from one Appell expansion around
+those numbers, E_n(x) = sum_l C(n,l) E_l x^(n-l), evaluated on integers by
+``Poly.scaled`` plus ``_horner`` (``Poly.ratio`` and ``Poly.eval`` included).
+An independent path, truncated power-series division of the generating
+functions 2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1), lives in
+``tests/oracles.py``; the tests and a demo use it to cross-check this one.
 """
 
 from __future__ import annotations
@@ -146,25 +146,23 @@ def _horner(b: tuple[int, ...], r: int) -> int:
     return acc
 
 
-# The triple (E_0..E_N, B_0..B_N, e_0..e_N) with e_s = 2^s E_s, an integer.
-# An index past the end rebuilds all three from one tangent table at least
-# twice the size.  The triple is bound in a single assignment, so a reader on
-# another thread sees the old or the new one, each a correct prefix of equal
-# length, and no lock is needed.
-_NUMBERS: tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, ...]] = ((), (), ())
+# e_0..e_N with e_s = 2^s E_s: the one stored form of both number sequences.
+# An index past the end rebuilds it from a tangent table at least twice the
+# size.  The tuple is bound in a single assignment, so a reader on another
+# thread sees the old or the new one, each a correct prefix, and no lock is
+# needed.
+_NUMBERS: tuple[int, ...] = ()
 
 
-def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, ...]]:
-    """Publish and return E_0..E_(2top), B_0..B_(2top) and e_0..e_(2top) for some 2top > n.
+def _rebuild(n: int) -> tuple[int, ...]:
+    """Publish and return e_0..e_(2top) for some 2top > n.
 
     Fills the integer table T_1..T_top of tangent numbers (Knuth &
     Buckholtz, Math. Comp. 21, 1967; Brent & Harvey, arXiv:1108.0286,
-    Algorithm TangentNumbers) and maps it by the formulas in the module
-    docstring, so e_(2m-1) = (-1)^m T_m.  E_0 = B_0 = 1, B_1 = -1/2, and
-    E_(2m), B_(2m+1) vanish for m >= 1.
+    Algorithm TangentNumbers) and maps it as in the module docstring.
     """
     global _NUMBERS
-    top = max(n // 2 + 1, len(_NUMBERS[0]))
+    top = max(n // 2 + 1, len(_NUMBERS))
     t = [0, 1] + [0] * (top - 1)
     for k in range(2, top + 1):
         t[k] = (k - 1) * t[k - 1]
@@ -172,39 +170,31 @@ def _rebuild(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[
         for j in range(k, top + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
     e = [1] + [0] * (2 * top)
-    bernoulli = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (2 * top - 1)
     for m in range(1, top + 1):
-        sign = -1 if m % 2 else 1
-        e[2 * m - 1] = sign * t[m]
-        bernoulli[2 * m] = Fraction(-sign * 2 * m * t[m], 4**m * (4**m - 1))
-    euler = tuple(Fraction(n, 2**s) for s, n in enumerate(e))
-    _NUMBERS = numbers = (euler, tuple(bernoulli), tuple(e))
-    return numbers
-
-
-def _numbers(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, ...]]:
-    """The published triple if it reaches index n, else the one this call builds."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    numbers = _NUMBERS
-    if n >= len(numbers[0]):
-        numbers = _rebuild(n)
+        e[2 * m - 1] = -t[m] if m % 2 else t[m]
+    _NUMBERS = numbers = tuple(e)
     return numbers
 
 
 def _euler_ints(n: int) -> tuple[int, ...]:
-    """e_0..e_N for some N >= n, with e_s = 2^s E_s: the Euler numbers as integers."""
-    return _numbers(n)[2]
+    """e_0..e_N, N >= n: the published table, or the one this call builds if it is short."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    e = _NUMBERS
+    if n >= len(e):
+        e = _rebuild(n)
+    return e
 
 
 def euler_number(n: int) -> Rational:
     """n-th Euler number E_n = E_n(0); E_1 = -1/2 and E_{2k} = 0 for k >= 1."""
-    return _numbers(n)[0][n]
+    return Fraction(_euler_ints(n)[n], 1 << n)
 
 
 def bernoulli_number(n: int) -> Rational:
     """n-th Bernoulli number with B_1 = -1/2."""
-    return _numbers(n)[1][n]
+    e = _euler_ints(n)
+    return Fraction(-n * e[n - 1], (1 << n) * ((1 << n) - 1)) if n else Fraction(1)
 
 
 def _appell_poly(n: int, number: Callable[[int], Rational]) -> Poly:

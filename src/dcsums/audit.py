@@ -193,7 +193,7 @@ def _scaled_dc_sum(p: int, m: int) -> Fraction:
 
 def _reciprocity_lhs(p: int, h: int, k: int) -> Fraction:
     (a, b), (c, d) = dc_sum(p, h, k).as_integer_ratio(), dc_sum(p, k, h).as_integer_ratio()
-    return Fraction(k**p * a * d + h**p * c * b, b * d)
+    return Fraction(*_pair_sum([(k**p * a, b), (h**p * c, d)]))
 
 
 def _derivative_sum_lhs(p: int, s: int) -> Fraction:
@@ -257,7 +257,7 @@ def _closed_mixed_sum(p: int, x: int) -> tuple[int, int]:
 
 def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
     """k^p sum_u (-1)^u sum_s C(p,s) h^s E_s(u/k) E_(p-s)(h - floor(hu/k)), as printed."""
-    return lattice_power_sum(p, h, k, lambda u, j: -1 if u % 2 else 1)
+    return Fraction(*lattice_power_sum(p, h, k, lambda u, j: -1 if u % 2 else 1))
 
 
 def _addition_lhs(p: int, h: int, k: int) -> Fraction:
@@ -424,10 +424,6 @@ def get_check(check_id: str) -> IdentityCheck:
         raise ValueError(f"unknown check id {check_id!r}") from None
 
 
-def _fraction(value: Rational | int) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def _evaluate(
     check: IdentityCheck,
     params: Mapping[str, int],
@@ -444,7 +440,7 @@ def _evaluate(
         mirror = {**ordered, "h": ordered["k"], "k": ordered["h"]}
         values = seen.pop(tuple(mirror.values()), None)
     if values is None:
-        lhs, rhs = _fraction(check.lhs(**ordered)), _fraction(check.rhs(**ordered))
+        lhs, rhs = check.lhs(**ordered), check.rhs(**ordered)
         holds = lhs == rhs
         values = lhs, rhs, _ZERO if holds else lhs - rhs, holds
         if seen is not None:

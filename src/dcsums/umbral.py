@@ -14,20 +14,20 @@ two shifted copies of one umbra.
 The integer side protocol: ``_umbral`` reads each power A^s, B^j as an
 unreduced pair (numerator, denominator) of ints and returns its sum as one
 such pair, which ``_pair_sum`` adds over the lcm of the term denominators.
-Its callers, here and in the audit's sides, take E_s only from
-``_euler_pairs``, as (2^s E_s, 2^s) from the integer table in ``appell``,
+Its callers, here and in the audit's sides, take c^s E_s only from
+``_euler_pairs``, as (c^s 2^s E_s, 2^s) from the integer table in ``appell``,
 and polynomial values from the integer form of ``Poly``; they add pairs with
 ``_pair_sum`` and build one ``Fraction`` per result.  ``umbral_power`` folds
 its umbrae as pairs.
 
 ``lattice_power_sum`` is the one kernel behind the theorem 7 and 9 right
-sides.  With z_u = hu + k(h - floor(hu/k)), each lattice power is
+sides.  With z_u = hu + k(h - floor(hu/k)) and a lattice umbra Z whose
+powers are the weighted power sums Z^i = sum_u w_u z_u^i,
 
-    (khE + kE' + z_u)^p = sum_t C(p,t) M_t z_u^(p-t),   M_t = (khE + kE')^t,
+    sum_u w_u (khE + kE' + z_u)^p = (khE + (kE' + Z))^p,
 
-so the sum over u is the moments M_t against the weighted power sums of z_u,
-O(k p + p^2) integer operations.  Since 2^s E_s is an integer (the tangent
-numbers in ``appell``), 2^t M_t is one, and the call divides once by 2^p.
+two nested ``_umbral`` convolutions over pairs: O(k p + p^2) integer
+operations.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ def _as_terms(terms: Iterable[tuple]) -> list[tuple[Pair, Pair, int]]:
     return out
 
 
-def _euler_pairs(p: int) -> Callable[[int], Pair]:
-    """s -> E_s as the pair (2^s E_s, 2^s), for s <= p."""
+def _euler_pairs(p: int, c: int = 1) -> Callable[[int], Pair]:
+    """s -> c^s E_s as the pair (c^s 2^s E_s, 2^s), for s <= p."""
     e = _euler_ints(p)
-    return [(e[s], 1 << s) for s in range(p + 1)].__getitem__
+    return [(c**s * e[s], 1 << s) for s in range(p + 1)].__getitem__
 
 
 def _pair_sum(pairs: Sequence[Pair]) -> Pair:
@@ -105,23 +105,18 @@ def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
     return Fraction(*_umbral(p, first.__getitem__, tail.__getitem__))
 
 
-def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Rational:
+def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Pair:
     """Sum over u in [0, k) of weight(u, j) (kh(E + u/k) + k(E' + h - j))^p, j = floor(hu/k)."""
-    # Doubled umbrae stay integral: e_s = 2^s E_s, moments[t] = 2^t M_t, and
-    # sums[i] = sum_u weight (2 z_u)^i; each product carries 2^p.
-    e = _euler_ints(p)
-    moments = [k**t * sum(binomial(t, s) * h**s * e[s] * e[t - s]
-                          for s in range(t + 1) if e[s] and e[t - s])
-               for t in range(p + 1)]
     sums = [0] * (p + 1)
     for u in range(k):
         j = h * u // k
         if w := weight(u, j):
-            z = 2 * (h * u + k * (h - j))
+            z = h * u + k * (h - j)
             for i in range(p + 1):
                 sums[i] += w
                 w *= z
-    return Fraction(sum(binomial(p, t) * moments[t] * sums[p - t] for t in range(p + 1)), 2**p)
+    kh, k1 = _euler_pairs(p, k * h), _euler_pairs(p, k)
+    return _umbral(p, kh, lambda j: _umbral(j, k1, lambda i: (sums[i], 1)))
 
 
 def theorem9_rhs(p: int, h: int, k: int) -> Rational:
@@ -137,8 +132,7 @@ def theorem9_rhs(p: int, h: int, k: int) -> Rational:
         raise ValueError(f"h and k must be positive, got ({h}, {k})")
     if p < 1 or p % 2 == 0:
         raise ValueError(f"power must be odd and positive, got {p}")
-    odd = lattice_power_sum(p, h, k, lambda u, j: (u - j) % 2)
-    mixed = umbral_power([(h, 0, 0), (k, 0, 1)], p)
-    # Each term is an integer over 2^p: 2^p E_p = e_p, and see lattice_power_sum.
-    odd_num, mixed_num = (q.numerator * (2**p // q.denominator) for q in (odd, mixed))
-    return Fraction(2 * odd_num + mixed_num + (p + 2) * _euler_ints(p)[p], 2**p)
+    odd_num, odd_den = lattice_power_sum(p, h, k, lambda u, j: (u - j) % 2)
+    mixed = _umbral(p, _euler_pairs(p, h), _euler_pairs(p, k))
+    e_num, e_den = _euler_pairs(p)(p)
+    return Fraction(*_pair_sum([(2 * odd_num, odd_den), mixed, ((p + 2) * e_num, e_den)]))

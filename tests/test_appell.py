@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +53,7 @@ def test_first_bernoulli_numbers():
 
 
 def fresh_number_tables(monkeypatch):
-    monkeypatch.setattr(appell, "_NUMBERS", ((), ()))
+    monkeypatch.setattr(appell, "_NUMBERS", ())
 
 
 def test_numbers_match_series_oracle(monkeypatch):
@@ -64,6 +64,21 @@ def test_numbers_match_series_oracle(monkeypatch):
     for n in range(201):
         assert euler_number(n) == euler_series[n]
         assert bernoulli_number(n) == bern_series[n]
+
+
+def test_bernoulli_numbers_satisfy_von_staudt_clausen(monkeypatch):
+    # From empty tables to n = 600, far past the series oracle above: for even
+    # n, B_n + sum over primes q with (q - 1) | n of 1/q is an integer and the
+    # sign of B_n alternates; B_n = 0 for odd n >= 3.
+    fresh_number_tables(monkeypatch)
+    primes = [q for q in range(2, 602) if all(q % d for d in range(2, isqrt(q) + 1))]
+    for n in range(2, 601):
+        b = bernoulli_number(n)
+        if n % 2:
+            assert b == 0, n
+        else:
+            assert (b + sum(Fraction(1, q) for q in primes if n % (q - 1) == 0)).denominator == 1, n
+            assert (-1) ** (n // 2 + 1) * b > 0, n
 
 
 def test_concurrent_growth_matches_single_thread_values(monkeypatch):
@@ -93,14 +108,14 @@ def test_concurrent_growth_matches_single_thread_values(monkeypatch):
 
 def test_lookup_returns_the_tuple_it_built(monkeypatch):
     # A smaller concurrent rebuild may bind the global last; a lookup must
-    # answer from the pair its own rebuild returned, not re-read the global.
+    # answer from the tuple its own rebuild returned, not re-read the global.
     expected = (euler_number(51), bernoulli_number(50))
     fresh_number_tables(monkeypatch)
     rebuild = appell._rebuild
 
     def rebuild_then_lose_the_race(n):
         built = rebuild(n)
-        appell._NUMBERS = ((), ())
+        appell._NUMBERS = ()
         return built
 
     monkeypatch.setattr(appell, "_rebuild", rebuild_then_lose_the_race)

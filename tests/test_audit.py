@@ -405,6 +405,40 @@ def test_printed_form_holds_exactly_where_findings_say(findings_generator, ids):
         assert [r for r in live if oracles.check_sides(r.id, r.params) != (r.lhs, r.rhs)] == []
 
 
+# CLAIMS at the sizes the CLI accepts: a seeded sample of far live tuples per
+# row, and pinned extremes that reach k ~ 10^6 and p = 601 (the latter drives
+# the Euler table far past the standard grid).
+_FAR = {"p": (1, 31), "h": (1, 40), "k": (1, 3000), "n": (1, 3000), "l": (0, 40),
+        "m": (1, 3000), "s": (2, 40)}
+_FAR_EXTREMES = [("dedekind_recip", {"h": 7, "k": 1000003}),
+                 ("thm8_periodic", {"p": 3, "h": 3, "k": 100001}),
+                 ("lemma1_corrected", {"p": 601}),
+                 ("eq12_13_corrected", {"p": 601})]
+
+
+def _far_live_results(check_id, count=8):
+    rng = random.Random(check_id)
+    names = get_check(check_id).param_names
+    live = {}
+    for _ in range(1000):
+        params = {name: rng.randint(*_FAR[name]) for name in names}
+        result = run_check(check_id, params)
+        if not result.skipped:
+            live[tuple(params.values())] = result
+            if len(live) == count:
+                break
+    assert len(live) == count, check_id
+    return list(live.values())
+
+
+def test_findings_claims_hold_at_cli_scale(findings_generator):
+    claims = findings_generator.CLAIMS
+    assert sorted(claims) == registry_ids()
+    results = [r for check_id in claims for r in _far_live_results(check_id)]
+    results += [run_check(check_id, params) for check_id, params in _FAR_EXTREMES]
+    assert [r for r in results if r.skipped or r.holds != claims[r.id].holds(**r.params)] == []
+
+
 def test_iter_params_leaves_no_garbage_cycles():
     # Enumeration must be freed by reference counting alone.
     grid = ParamGrid.from_maxima(hmax=6, kmax=6, odd_only=True, coprime_only=True)
