@@ -21,6 +21,7 @@ protocol of ``umbral``, and the engine keeps the values a side returns.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -55,12 +56,13 @@ PARAM_NAMES = tuple(_RANGES)
 class IdentityCheck:
     """One auditable claim: named integer params, hypotheses, two sides.
 
-    ``hk_symmetric`` promises that both sides, as written, keep their values
-    when h and k are exchanged, at every (h, k) whether or not the claim
-    holds there.  ``sweep`` then gives a tuple whose (h, k) mirror it has
-    already evaluated in the same walk the mirror's sides and residual.
-    A side that is symmetric only where the identity holds (thm7, thm9,
-    eq10) must not carry the flag: that agreement is what the audit measures.
+    The hypotheses and both sides take the params positionally, in
+    ``param_names`` order.  ``hk_symmetric`` names the sides ("lhs", "rhs")
+    that, as written, keep their values when h and k are exchanged, at every
+    (h, k) whether or not the claim holds there; ``sweep`` evaluates such a
+    side once per unordered pair.  A side that is symmetric only where the
+    identity holds (the right sides of thm7 and thm9) must not be named:
+    that agreement is what the audit measures.
     """
 
     id: str
@@ -69,7 +71,7 @@ class IdentityCheck:
     lhs: Callable[..., Rational]
     rhs: Callable[..., Rational]
     description: str
-    hk_symmetric: bool = False
+    hk_symmetric: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -141,12 +143,16 @@ class ParamGrid:
 
     def iter_params(self, param_names: Sequence[str]) -> Iterator[dict[str, int]]:
         names = tuple(param_names)
-        coprime = self.coprime_only and "h" in names and "k" in names
-        for values in product(*(sorted(self.values_for(name)) for name in names)):
-            params = dict(zip(names, values))
-            if coprime and gcd(params["h"], params["k"]) != 1:
-                continue
-            yield params
+        for values in self._walk(names):
+            yield dict(zip(names, values))
+
+    def _walk(self, names: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
+        """The value tuples of ``iter_params``; a value that is no int raises TypeError."""
+        walk = product(*(sorted(map(operator.index, self.values_for(name))) for name in names))
+        if self.coprime_only and "h" in names and "k" in names:
+            h, k = names.index("h"), names.index("k")
+            walk = (values for values in walk if gcd(values[h], values[k]) == 1)
+        return walk
 
     def description(self) -> dict:
         """JSON-ready description embedded in reports (lists, not tuples)."""
@@ -371,23 +377,23 @@ _CHECKS = (
     IdentityCheck("thm7", ("p", "h", "k"),
                   lambda p, h, k: p > 1 and _odd_p(p) and k % 2 == 1 and _coprime(h, k),
                   lambda p, h, k: Fraction(*_closed_mixed_sum(p, h * k)), _mixed_double_rhs,
-                  "closed mixed Euler sum vs the k^p weighted double sum"),
+                  "closed mixed Euler sum vs the k^p weighted double sum", hk_symmetric=("lhs",)),
     IdentityCheck("thm8_periodic", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
                   lambda p, h, k: theorem8_rhs(p, h, k, periodic=True),
                   "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum with the periodic Euler "
-                  "function", hk_symmetric=True),
+                  "function", hk_symmetric=("lhs", "rhs")),
     IdentityCheck("thm8_poly", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
                   lambda p, h, k: theorem8_rhs(p, h, k, periodic=False),
                   "k^p T_p(h,k) + h^p T_p(k,h) vs the double sum as printed (plain E_p)",
-                  hk_symmetric=True),
+                  hk_symmetric=("lhs", "rhs")),
     IdentityCheck("thm9", ("p", "h", "k"),
                   lambda p, h, k: p > 1 and _odd_p(p) and _coprime(h, k),
                   _reciprocity_lhs, theorem9_rhs,
-                  "k^p T_p(h,k) + h^p T_p(k,h) vs the umbral right side"),
+                  "k^p T_p(h,k) + h^p T_p(k,h) vs the umbral right side", hk_symmetric=("lhs",)),
     IdentityCheck("dedekind_recip", ("h", "k"), _coprime, _dedekind_recip_lhs,
                   _dedekind_recip_rhs,
                   "classical reciprocity S(h,k) + S(k,h) = -1/4 + (h^2+k^2+1)/(12hk)",
-                  hk_symmetric=True),
+                  hk_symmetric=("lhs", "rhs")),
 )
 
 REGISTRY: dict[str, IdentityCheck] = {check.id: check for check in _CHECKS}
@@ -424,35 +430,43 @@ def get_check(check_id: str) -> IdentityCheck:
         raise ValueError(f"unknown check id {check_id!r}") from None
 
 
-def _evaluate(
-    check: IdentityCheck,
-    params: Mapping[str, int],
-    seen: dict[tuple[int, ...], tuple[Fraction, Fraction, Fraction, bool]] | None = None,
-) -> CheckResult:
-    """One instance.  ``seen``, given for an hk_symmetric check, holds the
-    sides, residual and verdict of the tuples evaluated earlier in the walk;
-    a tuple whose (h, k) mirror is there takes (and removes) them."""
-    ordered = {name: operator.index(params[name]) for name in check.param_names}
-    if not check.hypotheses(**ordered):
-        return CheckResult(check.id, ordered, None, None, None, False, True)
-    values = None
-    if seen is not None:
-        mirror = {**ordered, "h": ordered["k"], "k": ordered["h"]}
-        values = seen.pop(tuple(mirror.values()), None)
-    if values is None:
-        lhs, rhs = check.lhs(**ordered), check.rhs(**ordered)
-        holds = lhs == rhs
-        values = lhs, rhs, _ZERO if holds else lhs - rhs, holds
-        if seen is not None:
-            seen[tuple(ordered.values())] = values
-    return CheckResult(check.id, ordered, *values, False)
+def _evaluate(check: IdentityCheck, values: tuple[int, ...], lhs: Callable[..., Rational],
+              rhs: Callable[..., Rational]) -> CheckResult:
+    """One instance at ``values`` (in ``param_names`` order), with ``lhs`` and ``rhs`` as sides."""
+    params = dict(zip(check.param_names, values))
+    if not check.hypotheses(*values):
+        return CheckResult(check.id, params, None, None, None, False, True)
+    left, right = lhs(*values), rhs(*values)
+    holds = left == right
+    return CheckResult(check.id, params, left, right, _ZERO if holds else left - right, holds)
 
 
-def _walk(check: IdentityCheck, grid: ParamGrid) -> Iterator[CheckResult]:
-    """One check over the grid; an hk_symmetric check's sides live for this walk only."""
-    seen: dict | None = {} if check.hk_symmetric else None
-    for params in grid.iter_params(check.param_names):
-        yield _evaluate(check, params, seen)
+def _tabled(check: IdentityCheck, name: str, values_of: dict[tuple[int, ...], Rational],
+            keep_all: bool) -> Callable[..., Rational]:
+    """The side ``name`` of ``check``, looked up in and kept in ``values_of``.
+
+    A side named in ``hk_symmetric`` is keyed with h and k ascending, and its
+    value at h < k is kept for the mirror that the ascending walk meets later;
+    ``keep_all`` keeps every value, for a later check with the same side.
+    """
+    side = getattr(check, name)
+    h = k = 0  # an undeclared side compares a value with itself: no mirror, kept iff keep_all
+    if name in check.hk_symmetric:
+        h, k = check.param_names.index("h"), check.param_names.index("k")
+        order = list(range(len(check.param_names)))
+        order[h], order[k] = k, h
+        mirror = operator.itemgetter(*order)
+
+    def tabled(*values: int) -> Rational:
+        key = mirror(values) if values[h] > values[k] else values
+        value = values_of.get(key)
+        if value is None:
+            value = side(*values)
+            if keep_all or values[h] < values[k]:
+                values_of[key] = value
+        return value
+
+    return tabled
 
 
 def run_check(check_id: str, params: Mapping[str, int]) -> CheckResult:
@@ -467,7 +481,8 @@ def run_check(check_id: str, params: Mapping[str, int]) -> CheckResult:
         raise ValueError(
             f"check {check_id!r} takes params {check.param_names}, got {tuple(params)}"
         )
-    return _evaluate(check, params)
+    values = tuple(operator.index(params[name]) for name in check.param_names)
+    return _evaluate(check, values, check.lhs, check.rhs)
 
 
 def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
@@ -478,24 +493,39 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     in the caller's id order.  A repeated id raises ValueError, since it
     would evaluate each of its tuples twice and double its tallies.
 
-    For an ``hk_symmetric`` check, a tuple whose (h, k) mirror came earlier
-    in the same check's walk reuses the mirror's exact lhs, rhs and residual
-    (the ascending walk meets h < k first); every result still carries its
-    own params, and values equal to what ``run_check`` gives.  The reuse is
-    local to one call: nothing is kept between sweeps.
+    One side table, local to the call, evaluates each distinct side value
+    once: a side function that several of the checks share (thm8_periodic,
+    thm8_poly and thm9 share their left side) at the same params, and a side
+    named in ``hk_symmetric`` at the (h, k) mirror of a tuple the walk met
+    earlier.  A side's values are kept only while a later lookup can hit
+    them, and dropped after its last check.  Every result still carries its
+    own params, and values equal to what ``run_check`` gives; nothing is
+    kept between sweeps.
     """
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate check ids in {list(ids)}")
     checks = [get_check(check_id) for check_id in ids]
-    results = tuple(
-        result
-        for check in sorted(checks, key=operator.attrgetter("id"))
-        for result in _walk(check, grid)
-    )
+    walk = sorted(checks, key=operator.attrgetter("id"))
+    sides = [(check.lhs, check.rhs) for check in walk]
+    uses = Counter(side for pair in sides for side in pair)
+    last = {side: i for i, pair in enumerate(sides) for side in pair}
+    table: dict[Callable[..., Rational], dict[tuple[int, ...], Rational]] = {}
+    results: list[CheckResult] = []
+    for i, check in enumerate(walk):
+        lhs, rhs = (
+            _tabled(check, name, table.setdefault(side, {}), last[side] > i)
+            if uses[side] > 1 or name in check.hk_symmetric else side
+            for name, side in zip(("lhs", "rhs"), sides[i])
+        )
+        results += [_evaluate(check, values, lhs, rhs)
+                    for values in grid._walk(check.param_names)]
+        for side in sides[i]:
+            if last[side] == i:
+                table.pop(side, None)
     summary: dict[str, dict[str, int]] = {
         check.id: {"pass": 0, "fail": 0, "skip": 0} for check in checks
     }
     for r in results:
         bucket = "skip" if r.skipped else ("pass" if r.holds else "fail")
         summary[r.id][bucket] += 1
-    return AuditReport(grid=grid.description(), results=results, summary=summary)
+    return AuditReport(grid=grid.description(), results=tuple(results), summary=summary)

@@ -6,38 +6,34 @@ polynomial value E_s(x_i) in one binomial convolution, ``_umbral``:
 
     (a(E + x) + b(E' + y))^p = sum_s C(p,s) a^s E_s(x) b^(p-s) E_{p-s}(y)
 
-More umbrae fold one at a time, each term against the rest of the form.  A
-single unshifted umbra recovers the plain Euler numbers: (E + 0)^p = E_p.
+A single unshifted umbra recovers the plain Euler numbers: (E + 0)^p = E_p.
 Duplicate umbra ids are rejected — there is no defined semantics for adding
 two shifted copies of one umbra.
 
 The integer side protocol: ``_umbral`` reads each power A^s, B^j as an
 unreduced pair (numerator, denominator) of ints and returns its sum as one
 such pair, which ``_pair_sum`` adds over the lcm of the term denominators.
-Its callers, here and in the audit's sides, take c^s E_s only from
-``_euler_pairs``, as (c^s 2^s E_s, 2^s) from the integer table in ``appell``,
-and polynomial values from the integer form of ``Poly``; they add pairs with
-``_pair_sum`` and build one ``Fraction`` per result.  ``umbral_power`` folds
-its umbrae as pairs.
+Its callers take c^s E_s from ``_euler_pairs`` as (c^s e_s, 2^s), e_s =
+2^s E_s from the integer table of ``appell``, and polynomial values from
+the integer form of ``Poly``; each result is one ``Fraction``.  Euler
+against Euler needs no pairs: ``_euler_euler`` gives the integers
+2^j (aE + bE')^j = sum_s C(j,s) a^s b^(j-s) e_s e_(j-s), which is
+(a^j + b^j) e_j at odd j, as e_s = 0 at even s > 0.  So the theorem 7 and 9
+kernel ``lattice_power_sum`` is one integer sum over 2^p, O(kp + p^2): with
+z_u = hu + k(h - floor(hu/k)) and Z_i = sum_u w_u z_u^i,
 
-``lattice_power_sum`` is the one kernel behind the theorem 7 and 9 right
-sides.  With z_u = hu + k(h - floor(hu/k)) and a lattice umbra Z whose
-powers are the weighted power sums Z^i = sum_u w_u z_u^i,
-
-    sum_u w_u (khE + kE' + z_u)^p = (khE + (kE' + Z))^p,
-
-two nested ``_umbral`` convolutions over pairs: O(k p + p^2) integer
-operations.
+    2^p sum_u w_u (khE + kE' + z_u)^p = sum_j C(p,j) 2^j (khE + kE')^j 2^(p-j) Z_(p-j).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import comb, lcm
 from typing import Callable, Iterable, Sequence
 
 from .appell import _euler_ints, _horner, euler_poly
-from .rationals import Rational, binomial, exact
+from .rationals import Rational, exact
 
 __all__ = ["umbral_power", "theorem9_rhs"]
 
@@ -72,7 +68,7 @@ def _umbral(p: int, a: Callable[[int], Pair], b: Callable[[int], Pair]) -> Pair:
         an, ad = a(s)
         if an:
             bn, bd = b(p - s)
-            terms.append((binomial(p, s) * an * bn, ad * bd))
+            terms.append((comb(p, s) * an * bn, ad * bd))
     return _pair_sum(terms)
 
 
@@ -86,10 +82,8 @@ def _sequence(coeff: Pair, shift: Pair, p: int) -> list[Pair]:
 def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
     """Evaluate (sum_i a_i (E_i + x_i))^p with independent umbrae.
 
-    Each term is a ``(coeff, shift, umbra)`` tuple for a_i * (E_i + x_i).  The
-    terms fold from the last: term i and the terms after it are two
-    independent umbrae, joined by ``_umbral`` at every power up to p, and the
-    first term only at p.
+    Each term is a ``(coeff, shift, umbra)`` tuple for a_i * (E_i + x_i); the
+    terms fold from the last, each joined to the ones after it by ``_umbral``.
     """
     if p < 0:
         raise ValueError(f"power must be nonnegative, got {p}")
@@ -105,6 +99,18 @@ def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
     return Fraction(*_umbral(p, first.__getitem__, tail.__getitem__))
 
 
+def _euler_euler(p: int, a: int, b: int) -> list[int]:
+    """2^j (aE + bE')^j for j = 0..p, over the nonzero e_s (s = 0 and odd s) only."""
+    e = _euler_ints(p)
+    live = [s for s in range(p + 1) if e[s]]
+    ae, be = [a**s * e[s] for s in range(p + 1)], [b**s * e[s] for s in range(p + 1)]
+    out = [0] * (p + 1)
+    for s, t in product(live, repeat=2):
+        if s + t <= p:
+            out[s + t] += comb(s + t, s) * ae[s] * be[t]
+    return out
+
+
 def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Pair:
     """Sum over u in [0, k) of weight(u, j) (kh(E + u/k) + k(E' + h - j))^p, j = floor(hu/k)."""
     sums = [0] * (p + 1)
@@ -115,24 +121,18 @@ def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int])
             for i in range(p + 1):
                 sums[i] += w
                 w *= z
-    kh, k1 = _euler_pairs(p, k * h), _euler_pairs(p, k)
-    return _umbral(p, kh, lambda j: _umbral(j, k1, lambda i: (sums[i], 1)))
+    mixed = _euler_euler(p, k * h, k)
+    return sum([comb(p, j) * mixed[j] * sums[p - j] << (p - j) for j in range(p + 1)]), 1 << p
 
 
 def theorem9_rhs(p: int, h: int, k: int) -> Rational:
-    """Right side of the umbral reciprocity statement, for odd p.
+    """Right side of the umbral reciprocity statement, for odd p, with j = floor(hu/k):
 
-    Assembles, entirely from umbral powers,
-
-        2 * sum over u in [0, k) with u - floor(hu/k) odd of
-              (kh(E + u/k) + k(E' + h - floor(hu/k)))^p
-        + (hE + kE')^p + (p+2) E_p.
+        2 sum_{u in [0, k), u - j odd} (kh(E + u/k) + k(E' + h - j))^p + (hE + kE')^p + (p+2) E_p
     """
     if h < 1 or k < 1:
         raise ValueError(f"h and k must be positive, got ({h}, {k})")
     if p < 1 or p % 2 == 0:
         raise ValueError(f"power must be odd and positive, got {p}")
-    odd_num, odd_den = lattice_power_sum(p, h, k, lambda u, j: (u - j) % 2)
-    mixed = _umbral(p, _euler_pairs(p, h), _euler_pairs(p, k))
-    e_num, e_den = _euler_pairs(p)(p)
-    return Fraction(*_pair_sum([(2 * odd_num, odd_den), mixed, ((p + 2) * e_num, e_den)]))
+    odd, den = lattice_power_sum(p, h, k, lambda u, j: (u - j) % 2)
+    return Fraction(2 * odd + (h**p + k**p + p + 2) * _euler_ints(p)[p], den)

@@ -1,8 +1,11 @@
 import ast
+import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,23 +284,42 @@ def _hk_symmetric_ids():
 
 def _side_value(side, params):
     try:
-        return side(**params)
+        return side(*params.values())
     except ValueError as exc:  # outside the side's own domain, e.g. S(h, k) with gcd > 1
         return type(exc)
 
 
+def test_rows_take_their_params_positionally():
+    # sweep calls hypotheses and sides positionally and keys its side table
+    # by the value tuple, so every one must take param_names in that order.
+    for check in map(get_check, registry_ids()):
+        for fn in (check.hypotheses, check.lhs, check.rhs):
+            assert tuple(inspect.signature(fn).parameters) == check.param_names, (check.id, fn)
+
+
 def test_hk_symmetric_sides_are_symmetric_as_written():
-    assert {"thm8_periodic", "thm8_poly", "dedekind_recip"} <= set(_hk_symmetric_ids())
-    # Hypotheses are ignored: the flag promises both sides at every (h, k),
-    # with even p, p = 1, and even or non-coprime h, k included.
+    declared = {check_id: get_check(check_id).hk_symmetric for check_id in _hk_symmetric_ids()}
+    assert declared == {"dedekind_recip": ("lhs", "rhs"), "thm7": ("lhs",),
+                        "thm8_periodic": ("lhs", "rhs"), "thm8_poly": ("lhs", "rhs"),
+                        "thm9": ("lhs",)}
+    # A side function that several rows share is declared alike on each, so
+    # their entries in one side table are keyed alike.
+    for name in ("lhs", "rhs"):
+        by_side = {}
+        for check in map(get_check, registry_ids()):
+            by_side.setdefault(getattr(check, name), set()).add(name in check.hk_symmetric)
+        assert all(len(flags) == 1 for flags in by_side.values()), name
+    # Hypotheses are ignored: the declaration promises each named side at
+    # every (h, k), with even p, p = 1, and even or non-coprime h, k included.
     grid = ParamGrid.from_maxima(pmax=9, hmax=12, kmax=12)
     asymmetric = []
     for check in map(get_check, _hk_symmetric_ids()):
         for params in grid.iter_params(check.param_names):
             if params["h"] < params["k"]:
                 mirror = {**params, "h": params["k"], "k": params["h"]}
-                if any(_side_value(side, params) != _side_value(side, mirror)
-                       for side in (check.lhs, check.rhs)):
+                if any(_side_value(getattr(check, name), params)
+                       != _side_value(getattr(check, name), mirror)
+                       for name in check.hk_symmetric):
                     asymmetric.append((check.id, tuple(params.values())))
     assert asymmetric == [], f"{len(asymmetric)} asymmetric tuples, first {asymmetric[:3]}"
     for p, h, k in [(3, 1, 5), (4, 2, 5), (5, 4, 6), (1, 3, 9), (7, 6, 9)]:
@@ -308,19 +330,71 @@ def test_hk_symmetric_sides_are_symmetric_as_written():
 
 
 @pytest.mark.parametrize("grid", [
-    ParamGrid(p_values=(1, 2, 3, 5), h_values=tuple(range(1, 5)), k_values=tuple(range(1, 12))),
-    ParamGrid(p_values=(5, 4, 3), h_values=(7, 2, 5, 1, 9, 4), k_values=(9, 4, 1, 7, 3, 2)),
+    ParamGrid(p_values=(1, 2, 3, 5), h_values=tuple(range(1, 5)), k_values=tuple(range(1, 12)),
+              n_values=(3, 1, 5, 2), l_values=(4, 0, 2, 1), m_values=(5, 2, 1, 3),
+              s_values=(6, 2, 4)),
+    ParamGrid(p_values=(5, 4, 3), h_values=(7, 2, 5, 1, 9, 4), k_values=(9, 4, 1, 7, 3, 2),
+              n_values=(6, 1, 3), l_values=(3, 0, 5), m_values=(7, 1, 4, 3), s_values=(8, 2, 4)),
 ], ids=["unequal-axes", "shuffled-axes"])
 def test_sweep_reports_each_tuples_own_values(grid):
-    ids = _hk_symmetric_ids()
+    ids = registry_ids()
     report = sweep(ids, grid)
-    expected = tuple(run_check(check_id, params) for check_id in sorted(ids)
+    expected = tuple(run_check(check_id, params) for check_id in ids
                      for params in grid.iter_params(get_check(check_id).param_names))
     assert report.results == expected
-    # Every check evaluated both orders of some h < k pair, so reuse took place.
-    live = [(r.id, r.params) for r in report.results if not r.skipped]
-    assert {check_id for check_id, params in live if params["h"] < params["k"]
-            and (check_id, {**params, "h": params["k"], "k": params["h"]}) in live} == set(ids)
+    assert {r.id for r in report.results if not r.skipped} == set(ids)
+    # Every row with a symmetric side evaluated both orders of some h < k
+    # pair, so the side table served a mirror.
+    live = [(r.id, r.params) for r in report.results if not r.skipped and "h" in r.params]
+    assert set(_hk_symmetric_ids()) <= {
+        check_id for check_id, params in live if params["h"] < params["k"]
+        and (check_id, {**params, "h": params["k"], "k": params["h"]}) in live}
+
+
+def test_sweep_shares_each_side_across_checks_and_mirrors(monkeypatch):
+    dc_calls, rhs_calls = [], []
+    kernel, thm9 = audit.dc_sum, get_check("thm9")
+
+    def counted_dc_sum(p, h, k):
+        dc_calls.append((p, min(h, k), max(h, k)))
+        return kernel(p, h, k)
+
+    def counted_rhs(p, h, k):
+        rhs_calls.append((p, h, k))
+        return thm9.rhs(p, h, k)
+
+    monkeypatch.setattr(audit, "dc_sum", counted_dc_sum)
+    # The row rebuilt the way perfbench/tracer.py rebuilds it keeps its declaration.
+    monkeypatch.setitem(audit.REGISTRY, "thm9", dataclasses.replace(thm9, rhs=counted_rhs))
+    # Neither odd_only nor coprime_only: thm8 lives on odd h, k, thm9 on
+    # coprime ones, so some pairs are live for one theorem only.
+    grid = ParamGrid(p_values=(3, 5), h_values=tuple(range(1, 8)), k_values=tuple(range(1, 8)))
+    ids = ["thm8_periodic", "thm8_poly", "thm9"]
+    for _ in range(2):  # a second sweep repeats every call: nothing outlives a sweep
+        dc_calls.clear()
+        rhs_calls.clear()
+        report = sweep(ids, grid)
+        live = [r for r in report.results if not r.skipped]
+        unordered = {(r.params["p"], min(r.params["h"], r.params["k"]),
+                      max(r.params["h"], r.params["k"])) for r in live}
+        assert {r.id for r in live} == set(ids) and len(unordered) < len(live) / 2
+        # k^p T_p(h,k) + h^p T_p(k,h) once per unordered live (p, {h, k}):
+        # two dc_sums, T_p(h,k) and T_p(k,h).
+        assert Counter(dc_calls) == {key: 2 for key in unordered}
+        # thm9's right side is not symmetric: it runs at every live ordered tuple.
+        assert rhs_calls == [tuple(r.params.values()) for r in live if r.id == "thm9"]
+
+
+def test_sweep_rejects_non_integer_grid_values():
+    # Each grid value passes operator.index once, as run_check's params do.
+    for bad in (2.0, "2"):
+        grids = [(["eq7_printed"], ParamGrid(n_values=(1, bad), l_values=(0,))),
+                 (["thm8_periodic", "thm9"],
+                  ParamGrid(p_values=(3,), h_values=(1, 3), k_values=(bad, 5))),
+                 (["thm3"], ParamGrid(p_values=(bad,), m_values=(1, 3)))]
+        for ids, grid in grids:
+            with pytest.raises(TypeError):
+                sweep(ids, grid)
 
 
 def test_sweep_evaluates_each_mirror_pair_once_per_call(monkeypatch):
