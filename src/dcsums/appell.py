@@ -24,15 +24,8 @@ from typing import Callable, Iterable
 
 from .rationals import Rational, binomial, exact, format_rational
 
-__all__ = [
-    "Poly",
-    "euler_number",
-    "bernoulli_number",
-    "euler_poly",
-    "bernoulli_poly",
-    "poly_derivative",
-    "poly_integral",
-]
+__all__ = ["Poly", "euler_number", "bernoulli_number", "euler_poly", "bernoulli_poly",
+           "poly_derivative", "poly_integral"]
 
 
 class Poly:

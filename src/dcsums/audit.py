@@ -1,21 +1,22 @@
 """Registry of identity checks, evaluated exactly over parameter grids.
 
 Each registered check pins one claim: a left side, a right side, and the
-hypotheses under which the claim is asserted.  The registry is one table of
-such rows, and a hypothesis or side that several claims share is written
-once, as a named predicate or function their rows use.  Checks come in
-``_printed`` form (the claim exactly as printed in the source material,
-typos and all) and, where the printed form is falsified by exact
-computation, a clearly separated ``_corrected`` variant established by
-brute-force oracle.  The engine never conflates the two: the point of a
-sweep is the exact rational residual of each instance, zero or not.
+hypotheses under which it is asserted.  The registry is one table of such
+rows; a hypothesis or side that several claims share is one named predicate
+or function.  Checks come in ``_printed`` form (the claim exactly as
+printed, typos and all) and, where exact computation falsifies it, a
+separate ``_corrected`` variant established by brute-force oracle.  The
+point of a sweep is the exact rational residual of each instance, zero or
+not.
 
 Residuals are always lhs - rhs, with lhs the side holding the sum being
 characterized (a DC sum, a lattice sum, or the audited integral), so signs
 are comparable across reports.  Tuples that violate a check's hypotheses
 become ``skipped`` entries rather than failures, keeping grids rectangular.
 Each side builds one ``Fraction`` from integers, on the integer side
-protocol of ``umbral``, and the engine keeps the values a side returns.
+protocol of ``umbral``.  The engine keeps the values a side returns,
+compares their integer ratios, and builds a failing residual as one
+``Fraction`` from them; results are named tuples.
 """
 
 from __future__ import annotations
@@ -25,26 +26,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
-from typing import Callable, Iterator, Mapping, Sequence
+from math import comb, gcd, lcm
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .appell import Poly, _horner, euler_number, euler_poly, poly_integral
-from .rationals import Rational, binomial
+from .appell import Poly, _euler_ints, _horner, euler_number, euler_poly, poly_integral
+from .rationals import Rational
 from .sums import alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
-from .umbral import _euler_pairs, _pair_sum, _umbral, lattice_power_sum, theorem9_rhs
+from .umbral import (_euler_pairs, _pair_sum, _shifted_euler_power, _umbral, lattice_power_sum,
+                     theorem9_rhs)
 
-__all__ = [
-    "IdentityCheck",
-    "CheckResult",
-    "AuditReport",
-    "ParamGrid",
-    "REGISTRY",
-    "registry_ids",
-    "get_check",
-    "run_check",
-    "sweep",
-    "standard_audit_grid",
-]
+__all__ = ["IdentityCheck", "CheckResult", "AuditReport", "ParamGrid", "REGISTRY", "registry_ids",
+           "get_check", "run_check", "sweep", "standard_audit_grid"]
 
 # name -> (first value, default maximum) of each grid parameter's range.
 _RANGES = {"p": (1, 7), "h": (1, 9), "k": (1, 9), "n": (1, 12), "l": (0, 8), "m": (1, 9),
@@ -74,9 +66,8 @@ class IdentityCheck:
     hk_symmetric: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one check instance; lhs/rhs/residual are None iff skipped."""
+class CheckResult(NamedTuple):
+    """One check instance's outcome; lhs/rhs/residual are None and holds False iff skipped."""
 
     id: str
     params: dict[str, int]
@@ -162,7 +153,6 @@ class ParamGrid:
         return out
 
 
-# ---------------------------------------------------------------------------
 # Shared building blocks for the registered checks.
 
 def _integral_01_x_times_euler(p: int) -> Fraction:
@@ -188,8 +178,7 @@ def _zero(p: int) -> Fraction:
 
 def _plus_euler_number(side: tuple[int, int], c: int, p: int) -> Fraction:
     """The pair side plus c E_p, as one Fraction."""
-    num, den = _euler_pairs(p)(p)
-    return Fraction(*_pair_sum([side, (c * num, den)]))
+    return Fraction(*_pair_sum([side, (c * _euler_ints(p)[p], 1 << p)]))
 
 
 def _scaled_dc_sum(p: int, m: int) -> Fraction:
@@ -203,16 +192,12 @@ def _reciprocity_lhs(p: int, h: int, k: int) -> Fraction:
 
 
 def _derivative_sum_lhs(p: int, s: int) -> Fraction:
-    return Fraction(*_umbral(p, _euler_pairs(p), lambda j: (binomial(j + 1, s), 1)))
+    return Fraction(*_umbral(p, _euler_pairs(p), lambda j: (comb(j + 1, s), 1)))
 
 
 def _derivative_sum_rhs(p: int, s: int) -> Fraction:
-    c = binomial(p, s)
-    if c == 0:
-        # The vanishing binomial kills the term before the (negative-index)
-        # Euler factor would ever be consulted.
-        return Fraction(0)
-    return -c * euler_number(p - s)
+    # -C(p,s) E_(p-s); at s > p C(p,s) vanishes before E_(p-s) is read.
+    return -comb(p, s) * euler_number(p - s) if s <= p else _ZERO
 
 
 # The DC-sum sides below are (E + B)^p for a B^j built from index j = p - v.
@@ -226,39 +211,25 @@ def _dc_closed_form_rhs(p: int, m: int) -> Fraction:
     return Fraction(*_umbral(p, _euler_pairs(p), b))
 
 
-def _euler_row(e: Callable[[int], tuple[int, int]], p: int, m: int, j: int,
-               first: int, last: int) -> tuple[int, int]:
-    """sum_{i=first}^{last} C(j+1,i) E_i m^(p-i), with E_i the pair e(i)."""
-    terms = []
-    for i in range(first, last + 1):
-        num, den = e(i)
-        terms.append((binomial(j + 1, i) * num * m ** (p - i), den))
-    return _pair_sum(terms)
+def _euler_row(p: int, m: int, j: int, first: int, last: int) -> tuple[int, int]:
+    """sum_{i=first}^{last} C(j+1,i) E_i m^(p-i), as a pair over 2^p."""
+    e = _euler_ints(p)
+    return sum([comb(j + 1, i) * e[i] * m ** (p - i) << (p - i)
+                for i in range(first, last + 1)]), 1 << p
 
 
 def _dc_double_sum_rhs(p: int, m: int) -> Fraction:
-    e = _euler_pairs(p)
-    return Fraction(*_umbral(p, e, lambda j: _euler_row(e, p, m, j, 0, j)))
+    return Fraction(*_umbral(p, _euler_pairs(p), lambda j: _euler_row(p, m, j, 0, j)))
 
 
 def _dc_split_sum_rhs(p: int, m: int) -> Fraction:
     # (E + 1)^p m^p + the middle sum over 1 <= i <= p - 2 and v <= p - i,
     # that is i <= j, + (p+1) E_p; the first two share one convolution.
-    e = _euler_pairs(p)
-
     def b(j: int) -> tuple[int, int]:
-        return _pair_sum([(m**p, 1), _euler_row(e, p, m, j, 1, min(j, p - 2))])
+        num, den = _euler_row(p, m, j, 1, min(j, p - 2))
+        return (m**p << p) + num, den
 
-    return _plus_euler_number(_umbral(p, e, b), p + 1, p)
-
-
-def _closed_mixed_sum(p: int, x: int) -> tuple[int, int]:
-    """sum_s C(p,s) x^(p-s) E_s E_(p-s)(1): thm7's lhs at x = hk; thm6's rhs is it + p E_p."""
-    def b(j: int) -> tuple[int, int]:
-        num, den = euler_poly(j).ratio(1)
-        return x**j * num, den
-
-    return _umbral(p, _euler_pairs(p), b)
+    return _plus_euler_number(_umbral(p, _euler_pairs(p), b), p + 1, p)
 
 
 def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
@@ -272,7 +243,11 @@ def _addition_lhs(p: int, h: int, k: int) -> Fraction:
 
 
 def _addition_rhs(p: int, h: int, k: int) -> Fraction:
-    return Fraction(*_umbral(p, lambda s: euler_poly(s).ratio(h, k), lambda j: (k**j, h**j)))
+    # sum_s C(p,s) E_s(h/k) (k/h)^(p-s) over L h^p k^p, L the lcm of E_s(x)'s denominators.
+    polys = list(map(euler_poly, range(p + 1)))
+    den = lcm(*[e.den for e in polys])
+    return Fraction(sum([comb(p, s) * e.ratio(h, k)[0] * (den // e.den) * h**s * k ** (2 * (p - s))
+                         for s, e in enumerate(polys)]), den * h**p * k**p)
 
 
 def _eq7_rhs(sign: int, n: int, l: int) -> Fraction:
@@ -301,10 +276,9 @@ def _dedekind_recip_lhs(h: int, k: int) -> Fraction:
 
 
 def _dedekind_recip_rhs(h: int, k: int) -> Fraction:
-    return Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k)
+    return Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)  # -1/4 + (h^2+k^2+1)/(12hk)
 
 
-# ---------------------------------------------------------------------------
 # Hypotheses: each assumption that several checks share is one predicate.
 
 def _eq7_range(n: int, l: int) -> bool:
@@ -331,7 +305,6 @@ def _thm8_range(p: int, h: int, k: int) -> bool:
     return p > 1 and _odd_p(p) and h >= 1 and k >= 1 and h % 2 == 1 and k % 2 == 1
 
 
-# ---------------------------------------------------------------------------
 # The registry: one row per check.  Lambdas look library functions up when
 # called, so wrappers bound over this module's globals see every call.
 
@@ -372,11 +345,12 @@ _CHECKS = (
     IdentityCheck("prop5", ("p", "m"), _odd_p_odd_m, _scaled_dc_sum, _dc_split_sum_rhs,
                   "m^p T_p(1,m) vs the split form ending in (p+1) E_p"),
     IdentityCheck("thm6", ("p", "m"), lambda p, m: p > 1 and _odd_p_odd_m(p, m),
-                  _scaled_dc_sum, lambda p, m: _plus_euler_number(_closed_mixed_sum(p, m), p, p),
+                  _scaled_dc_sum,
+                  lambda p, m: _plus_euler_number(_shifted_euler_power(p, m), p, p),
                   "m^p T_p(1,m) vs sum C(p,i) E_(p-i)(1) E_i m^(p-i) + p E_p"),
     IdentityCheck("thm7", ("p", "h", "k"),
                   lambda p, h, k: p > 1 and _odd_p(p) and k % 2 == 1 and _coprime(h, k),
-                  lambda p, h, k: Fraction(*_closed_mixed_sum(p, h * k)), _mixed_double_rhs,
+                  lambda p, h, k: Fraction(*_shifted_euler_power(p, h * k)), _mixed_double_rhs,
                   "closed mixed Euler sum vs the k^p weighted double sum", hk_symmetric=("lhs",)),
     IdentityCheck("thm8_periodic", ("p", "h", "k"), _thm8_range, _reciprocity_lhs,
                   lambda p, h, k: theorem8_rhs(p, h, k, periodic=True),
@@ -437,17 +411,19 @@ def _evaluate(check: IdentityCheck, values: tuple[int, ...], lhs: Callable[..., 
     if not check.hypotheses(*values):
         return CheckResult(check.id, params, None, None, None, False, True)
     left, right = lhs(*values), rhs(*values)
-    holds = left == right
-    return CheckResult(check.id, params, left, right, _ZERO if holds else left - right, holds)
+    (a, b), (c, d) = left.as_integer_ratio(), right.as_integer_ratio()
+    holds = a == c and b == d
+    return CheckResult(check.id, params, left, right,
+                       _ZERO if holds else Fraction(a * d - b * c, b * d), holds)
 
 
 def _tabled(check: IdentityCheck, name: str, values_of: dict[tuple[int, ...], Rational],
             keep_all: bool) -> Callable[..., Rational]:
     """The side ``name`` of ``check``, looked up in and kept in ``values_of``.
 
-    A side named in ``hk_symmetric`` is keyed with h and k ascending, and its
-    value at h < k is kept for the mirror that the ascending walk meets later;
-    ``keep_all`` keeps every value, for a later check with the same side.
+    A side named in ``hk_symmetric`` is keyed with h < k, and its value there
+    kept for the mirror the walk meets later; ``keep_all`` keeps every value,
+    for a later check with the same side.
     """
     side = getattr(check, name)
     h = k = 0  # an undeclared side compares a value with itself: no mirror, kept iff keep_all
@@ -489,43 +465,36 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     """Evaluate every (id, tuple) over the grid into a deterministic report.
 
     Checks run in id order over ``iter_params``'s ordered walk, so results
-    come out sorted by (id, params); the per-id summary tallies pass/fail/skip
-    in the caller's id order.  A repeated id raises ValueError, since it
-    would evaluate each of its tuples twice and double its tallies.
+    come out sorted by (id, params); each check's pass/fail/skip tally is
+    taken as it is walked, and the summary keeps the caller's id order.  A
+    repeated id raises ValueError: it would double its tuples and tallies.
 
     One side table, local to the call, evaluates each distinct side value
-    once: a side function that several of the checks share (thm8_periodic,
-    thm8_poly and thm9 share their left side) at the same params, and a side
-    named in ``hk_symmetric`` at the (h, k) mirror of a tuple the walk met
-    earlier.  A side's values are kept only while a later lookup can hit
-    them, and dropped after its last check.  Every result still carries its
-    own params, and values equal to what ``run_check`` gives; nothing is
-    kept between sweeps.
+    once: a side function that several checks share, at the same params,
+    and a side named in ``hk_symmetric`` at the (h, k) mirror of an earlier
+    tuple.  A side's values are dropped after its last check, and nothing is
+    kept between sweeps; every result equals what ``run_check`` gives.
     """
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate check ids in {list(ids)}")
-    checks = [get_check(check_id) for check_id in ids]
-    walk = sorted(checks, key=operator.attrgetter("id"))
+    walk = sorted(map(get_check, ids), key=operator.attrgetter("id"))
     sides = [(check.lhs, check.rhs) for check in walk]
     uses = Counter(side for pair in sides for side in pair)
     last = {side: i for i, pair in enumerate(sides) for side in pair}
     table: dict[Callable[..., Rational], dict[tuple[int, ...], Rational]] = {}
     results: list[CheckResult] = []
+    summary: dict[str, dict[str, int]] = dict.fromkeys(ids)
     for i, check in enumerate(walk):
         lhs, rhs = (
             _tabled(check, name, table.setdefault(side, {}), last[side] > i)
             if uses[side] > 1 or name in check.hk_symmetric else side
             for name, side in zip(("lhs", "rhs"), sides[i])
         )
-        results += [_evaluate(check, values, lhs, rhs)
-                    for values in grid._walk(check.param_names)]
+        block = [_evaluate(check, values, lhs, rhs) for values in grid._walk(check.param_names)]
+        held, skip = sum([r.holds for r in block]), sum([r.skipped for r in block])
+        summary[check.id] = {"pass": held, "fail": len(block) - held - skip, "skip": skip}
+        results += block
         for side in sides[i]:
             if last[side] == i:
                 table.pop(side, None)
-    summary: dict[str, dict[str, int]] = {
-        check.id: {"pass": 0, "fail": 0, "skip": 0} for check in checks
-    }
-    for r in results:
-        bucket = "skip" if r.skipped else ("pass" if r.holds else "fail")
-        summary[r.id][bucket] += 1
     return AuditReport(grid=grid.description(), results=tuple(results), summary=summary)

@@ -14,12 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = [
-    "Rational",
-    "binomial",
-    "format_rational",
-    "parse_rational",
-]
+__all__ = ["Rational", "binomial", "format_rational", "parse_rational"]
 
 Rational = Fraction
 
@@ -48,10 +43,9 @@ def binomial(n: int, k: int) -> int:
 
 def format_rational(q: Rational | int) -> str:
     """Canonical text form: ``-13/108``; integers render without ``/1``."""
-    q = exact(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    if isinstance(q, Fraction):  # str is this form
+        return str(q)
+    return str(int(exact(q)))  # a bool prints as 0 or 1
 
 
 def parse_rational(text: str) -> Rational:

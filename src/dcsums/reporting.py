@@ -2,12 +2,11 @@
 
 Rationals travel as canonical strings (``"13/54"``), never floats.  JSON
 serialization is byte-deterministic: the layout of ``json.dumps(...,
-sort_keys=True, indent=2)``, which ``report_to_json`` writes directly, one
-f-string block per result, leaving only the small ``grid`` and ``summary``
-dicts to ``json``.  ``report_from_json(report_to_json(r))`` reproduces the
-report field for field.  Skipped entries carry null lhs/rhs/residual — no
-value exists for them.  CSV rows mirror the JSON results one to one, in the
-same order.
+sort_keys=True, indent=2)``, which ``report_to_json`` writes directly, from
+one ``%`` template per (id, param names) with the id and names through
+``json``.  ``report_from_json(report_to_json(r))`` reproduces the report
+field for field.  Skipped entries carry null lhs/rhs/residual — no value
+exists for them.  CSV rows mirror the JSON results one to one, in order.
 """
 
 from __future__ import annotations
@@ -19,18 +18,9 @@ import json
 from .audit import PARAM_NAMES, AuditReport, CheckResult
 from .rationals import format_rational, parse_rational
 
-__all__ = [
-    "report_to_json",
-    "report_from_json",
-    "report_to_csv",
-    "format_report_text",
-]
+__all__ = ["report_to_json", "report_from_json", "report_to_csv", "format_report_text"]
 
 CSV_COLUMNS = ("id", *PARAM_NAMES, "lhs", "rhs", "residual", "holds", "skipped")
-
-
-def _fmt(value) -> str | None:
-    return None if value is None else format_rational(value)
 
 
 def _json_nested(value) -> str:
@@ -38,31 +28,34 @@ def _json_nested(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
-def _json_rational(q) -> str:
-    return "null" if q is None else f'"{format_rational(q)}"'
+# One result, keys sorted.
+_BLOCK = ('    {\n      "holds": %s,\n      "id": %s,\n      "lhs": %s,\n      "params": %s,\n'
+          '      "residual": %s,\n      "rhs": %s,\n      "skipped": %s\n    }')
 
 
-def _json_result(r: CheckResult) -> str:
-    # Keys in sorted order.  Parameter names and canonical rationals need no
-    # JSON escapes; an id, which a loaded report may carry, goes through json.
-    params = ",".join(f'\n        "{name}": {r.params[name]}' for name in sorted(r.params))
-    if params:
-        params += "\n      "
-    return (
-        "    {\n"
-        f'      "holds": {"true" if r.holds else "false"},\n'
-        f'      "id": {json.dumps(r.id)},\n'
-        f'      "lhs": {_json_rational(r.lhs)},\n'
-        f'      "params": {{{params}}},\n'
-        f'      "residual": {_json_rational(r.residual)},\n'
-        f'      "rhs": {_json_rational(r.rhs)},\n'
-        f'      "skipped": {"true" if r.skipped else "false"}\n'
-        "    }"
-    )
+def _templates(check_id: str, names: list[str]) -> tuple[str, str, list[str]]:
+    """``_BLOCK`` for an evaluated and a skipped result, a %s per name; and the names."""
+    literal = [json.dumps(text).replace("%", "%%") for text in (check_id, *names)]
+    params = ",".join(f"\n        {name}: %s" for name in literal[1:])
+    params = "{%s\n      }" % params if names else "{}"
+    return (_BLOCK % ("%s", literal[0], '"%s"', params, '"%s"', '"%s"', "false"),
+            _BLOCK % ("false", literal[0], "null", params, "null", "null", "true"), names)
 
 
 def report_to_json(report: AuditReport) -> str:
-    results = ",\n".join(map(_json_result, report.results))
+    templates = {}
+    blocks = []
+    for r in report.results:
+        params = r.params
+        key = (r.id, *params)
+        if key not in templates:
+            templates[key] = _templates(r.id, sorted(params))
+        evaluated, skipped, names = templates[key]
+        values = [params[name] for name in names]
+        blocks.append(skipped % tuple(values) if r.skipped else evaluated % (
+            "true" if r.holds else "false", format_rational(r.lhs), *values,
+            format_rational(r.residual), format_rational(r.rhs)))
+    results = ",\n".join(blocks)
     if results:
         results = f"\n{results}\n  "
     return (
@@ -75,17 +68,10 @@ def report_to_json(report: AuditReport) -> str:
 def report_from_json(text: str) -> AuditReport:
     data = json.loads(text)
     results = tuple(
-        CheckResult(
-            id=entry["id"],
-            params={name: int(v) for name, v in entry["params"].items()},
-            lhs=None if entry["lhs"] is None else parse_rational(entry["lhs"]),
-            rhs=None if entry["rhs"] is None else parse_rational(entry["rhs"]),
-            residual=(
-                None if entry["residual"] is None else parse_rational(entry["residual"])
-            ),
-            holds=bool(entry["holds"]),
-            skipped=bool(entry["skipped"]),
-        )
+        CheckResult(entry["id"], {name: int(v) for name, v in entry["params"].items()},
+                    *[None if entry[key] is None else parse_rational(entry[key])
+                      for key in ("lhs", "rhs", "residual")],
+                    bool(entry["holds"]), bool(entry["skipped"]))
         for entry in data["results"]
     )
     summary = {
@@ -102,13 +88,8 @@ def report_to_csv(report: AuditReport) -> str:
     for r in report.results:
         row = [r.id]
         row += [str(r.params[name]) if name in r.params else "" for name in PARAM_NAMES]
-        row += [
-            _fmt(r.lhs) or "",
-            _fmt(r.rhs) or "",
-            _fmt(r.residual) or "",
-            "true" if r.holds else "false",
-            "true" if r.skipped else "false",
-        ]
+        row += ("", "", "") if r.skipped else map(format_rational, (r.lhs, r.rhs, r.residual))
+        row += ["true" if r.holds else "false", "true" if r.skipped else "false"]
         writer.writerow(row)
     return buf.getvalue()
 
@@ -117,11 +98,9 @@ def _result_line(r: CheckResult) -> str:
     params = ", ".join(f"{k}={v}" for k, v in r.params.items())
     if r.skipped:
         return f"SKIP  {r.id}({params})"
-    status = "ok  " if r.holds else "FAIL"
-    line = f"{status}  {r.id}({params})  lhs={_fmt(r.lhs)}  rhs={_fmt(r.rhs)}"
-    if not r.holds:
-        line += f"  residual={_fmt(r.residual)}"
-    return line
+    lhs, rhs, residual = map(format_rational, (r.lhs, r.rhs, r.residual))
+    line = f"{'ok  ' if r.holds else 'FAIL'}  {r.id}({params})  lhs={lhs}  rhs={rhs}"
+    return line if r.holds else f"{line}  residual={residual}"
 
 
 def format_report_text(report: AuditReport) -> str:
@@ -133,6 +112,5 @@ def format_report_text(report: AuditReport) -> str:
             f"{check_id}: pass={counts['pass']} fail={counts['fail']} skip={counts['skip']}"
         )
     total_fail = sum(c["fail"] for c in report.summary.values())
-    lines.append("")
-    lines.append("all checks hold" if total_fail == 0 else f"{total_fail} failing instances")
+    lines += ["", f"{total_fail} failing instances" if total_fail else "all checks hold"]
     return "\n".join(lines) + "\n"

@@ -43,14 +43,8 @@ from math import gcd
 from .appell import _horner, bernoulli_poly, euler_poly
 from .rationals import Rational
 
-__all__ = [
-    "dedekind_sum",
-    "gen_dedekind_sum",
-    "dc_sum",
-    "alt_power_sum",
-    "theorem8_rhs",
-    "lattice_partition",
-]
+__all__ = ["dedekind_sum", "gen_dedekind_sum", "dc_sum", "alt_power_sum", "theorem8_rhs",
+           "lattice_partition"]
 
 
 def _require_positive(name: str, value: int) -> None:

@@ -7,29 +7,33 @@ polynomial value E_s(x_i) in one binomial convolution, ``_umbral``:
     (a(E + x) + b(E' + y))^p = sum_s C(p,s) a^s E_s(x) b^(p-s) E_{p-s}(y)
 
 A single unshifted umbra recovers the plain Euler numbers: (E + 0)^p = E_p.
-Duplicate umbra ids are rejected — there is no defined semantics for adding
-two shifted copies of one umbra.
+Duplicate umbra ids are rejected: two shifted copies of one umbra have no
+defined sum.
 
 The integer side protocol: ``_umbral`` reads each power A^s, B^j as an
 unreduced pair (numerator, denominator) of ints and returns its sum as one
 such pair, which ``_pair_sum`` adds over the lcm of the term denominators.
-Its callers take c^s E_s from ``_euler_pairs`` as (c^s e_s, 2^s), e_s =
-2^s E_s from the integer table of ``appell``, and polynomial values from
-the integer form of ``Poly``; each result is one ``Fraction``.  Euler
-against Euler needs no pairs: ``_euler_euler`` gives the integers
-2^j (aE + bE')^j = sum_s C(j,s) a^s b^(j-s) e_s e_(j-s), which is
-(a^j + b^j) e_j at odd j, as e_s = 0 at even s > 0.  So the theorem 7 and 9
-kernel ``lattice_power_sum`` is one integer sum over 2^p, O(kp + p^2): with
-z_u = hu + k(h - floor(hu/k)) and Z_i = sum_u w_u z_u^i,
+Its callers take E_s from ``_euler_pairs`` as (e_s, 2^s), e_s = 2^s E_s
+from the integer table of ``appell``, and polynomial values from the
+integer form of ``Poly``; each result is one ``Fraction``.  Euler against
+Euler needs no pairs: ``_euler_euler`` gives the integers
+2^j (aE + bE')^j = sum_s C(j,s) a^s b^(j-s) e_s e_(j-s), which, as e_s = 0
+at even s > 0, is (a^j + b^j) e_j at odd j and a sum over odd s at even j.
+So the theorem 7 and 9 kernel ``lattice_power_sum`` is one integer sum
+over 2^p, O(kp + p^2): with z_u = hu + k(h - floor(hu/k)) and the moments
+Z_i = sum_u w_u z_u^i,
 
     2^p sum_u w_u (khE + kE' + z_u)^p = sum_j C(p,j) 2^j (khE + kE')^j 2^(p-j) Z_(p-j).
+
+``_shifted_euler_power`` sums thm6's and thm7's (E + x(E' + 1))^p over 2^p
+too: E_j(1), the coefficient sum of E_j(x), has a denominator dividing 2^j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .appell import _euler_ints, _horner, euler_poly
@@ -49,10 +53,10 @@ def _as_terms(terms: Iterable[tuple]) -> list[tuple[Pair, Pair, int]]:
     return out
 
 
-def _euler_pairs(p: int, c: int = 1) -> Callable[[int], Pair]:
-    """s -> c^s E_s as the pair (c^s 2^s E_s, 2^s), for s <= p."""
+def _euler_pairs(p: int) -> Callable[[int], Pair]:
+    """s -> E_s as the pair (e_s, 2^s), for s <= p."""
     e = _euler_ints(p)
-    return [(c**s * e[s], 1 << s) for s in range(p + 1)].__getitem__
+    return [(e[s], 1 << s) for s in range(p + 1)].__getitem__
 
 
 def _pair_sum(pairs: Sequence[Pair]) -> Pair:
@@ -100,27 +104,39 @@ def umbral_power(terms: Sequence[tuple], p: int) -> Rational:
 
 
 def _euler_euler(p: int, a: int, b: int) -> list[int]:
-    """2^j (aE + bE')^j for j = 0..p, over the nonzero e_s (s = 0 and odd s) only."""
+    """2^j (aE + bE')^j for j = 0..p, on the nonzero e_s as the module docstring says."""
     e = _euler_ints(p)
-    live = [s for s in range(p + 1) if e[s]]
     ae, be = [a**s * e[s] for s in range(p + 1)], [b**s * e[s] for s in range(p + 1)]
-    out = [0] * (p + 1)
-    for s, t in product(live, repeat=2):
-        if s + t <= p:
+    out = [1] + [ae[j] + be[j] for j in range(1, p + 1)]  # 0 at even j > 0
+    for s in range(1, p, 2):
+        for t in range(1, p - s + 1, 2):
             out[s + t] += comb(s + t, s) * ae[s] * be[t]
     return out
 
 
+def _shifted_euler_power(p: int, x: int) -> Pair:
+    """(E + x(E' + 1))^p = sum_s C(p,s) x^(p-s) E_s E_(p-s)(1), as a pair over 2^p."""
+    e = _euler_ints(p)
+    total = 0
+    for s in range(p + 1):
+        if e[s]:
+            poly = euler_poly(p - s)
+            total += comb(p, s) * e[s] * x ** (p - s) * sum(poly.num) * ((1 << p - s) // poly.den)
+    return total, 1 << p
+
+
 def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Pair:
     """Sum over u in [0, k) of weight(u, j) (kh(E + u/k) + k(E' + h - j))^p, j = floor(hu/k)."""
-    sums = [0] * (p + 1)
+    ws, zs = [], []
     for u in range(k):
         j = h * u // k
         if w := weight(u, j):
-            z = h * u + k * (h - j)
-            for i in range(p + 1):
-                sums[i] += w
-                w *= z
+            ws.append(w)
+            zs.append(h * u + k * (h - j))
+    sums = [sum(ws)]
+    for _ in range(p):
+        ws = list(map(mul, ws, zs))
+        sums.append(sum(ws))
     mixed = _euler_euler(p, k * h, k)
     return sum([comb(p, j) * mixed[j] * sums[p - j] << (p - j) for j in range(p + 1)]), 1 << p
 

@@ -123,6 +123,23 @@ def dedekind(h: int, k: int) -> Fraction:
     )
 
 
+def dedekind_euclid(h: int, k: int) -> Fraction:
+    """S(h,k) for coprime h >= 0, k >= 1 in O(log k) steps, by the Euclidean algorithm.
+
+    S(h,k) = S(h mod k, k), and reciprocity S(h,k) + S(k,h) = -1/4 +
+    (h^2 + k^2 + 1)/(12hk) swaps the arguments down to S(0, 1) = 0
+    (Rademacher & Grosswald, Dedekind Sums, 1972; Knuth, TAOCP vol. 2,
+    3.3.3).  No term of the defining sum is evaluated.
+    """
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
 def gen_dedekind(p: int, h: int, k: int) -> Fraction:
     return sum(
         (Fraction(a, k) * bbar(p, Fraction(a * h, k)) for a in range(1, k)),

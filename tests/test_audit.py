@@ -12,11 +12,15 @@ from pathlib import Path
 import pytest
 
 from dcsums import (
+    AuditReport,
+    CheckResult,
     ParamGrid,
     audit,
     format_rational,
+    format_report_text,
     get_check,
     registry_ids,
+    report_from_json,
     report_to_csv,
     report_to_json,
     run_check,
@@ -127,6 +131,22 @@ def test_known_true_suite_holds_on_small_grid():
     for check_id, counts in report.summary.items():
         assert counts["fail"] == 0, (check_id, counts)
         assert counts["pass"] > 0
+
+
+def test_residuals_of_sides_that_share_a_numerator_or_a_denominator(monkeypatch):
+    # holds compares both parts of the two sides' integer ratios, and the
+    # residual is lhs - rhs, in sweep and run_check alike.
+    sides = {1: (Fraction(1, 2), Fraction(1, 3)), 2: (Fraction(1, 3), Fraction(2, 3)),
+             3: (Fraction(-5, 6), Fraction(-5, 6)), 4: (Fraction(7), 7)}
+    probe = audit.IdentityCheck("probe", ("p",), lambda p: True, lambda p: sides[p][0],
+                                lambda p: sides[p][1], "sides by p")
+    monkeypatch.setitem(audit.REGISTRY, "probe", probe)
+    report = sweep(["probe"], ParamGrid(p_values=tuple(sides)))
+    assert report.summary == {"probe": {"pass": 2, "fail": 2, "skip": 0}}
+    for r in report.results:
+        lhs, rhs = sides[r.params["p"]]
+        assert (r.residual, r.holds) == (lhs - rhs, lhs == rhs)
+        assert r == run_check("probe", r.params)
 
 
 def test_known_failures_pin_exact_residuals():
@@ -267,6 +287,50 @@ def test_report_to_json_matches_the_json_encoder():
     for report in (standard, empty, no_tuples, skipped, default, unsorted):
         assert report_to_json(report) == _reference_json(report)
     assert '"results": []' in report_to_json(empty)
+
+
+def test_loaded_reports_write_ids_and_names_through_json():
+    # report_from_json takes any id and param name; the writer's templates
+    # must escape them as json does, and keep a literal % out of formatting.
+    results = (
+        CheckResult('x"%s', {'a"b': 1, "c\\d": -2, "p": 3}, Fraction(1, 2), Fraction(1, 3),
+                    Fraction(1, 6), False),
+        CheckResult("\u00e9\\%", {"\u00e9": 4, "e%f": 5}, Fraction(2), Fraction(2), Fraction(0),
+                    True),
+        CheckResult("100%", {"%s": 6, "%%d": 7}, None, None, None, False, True),
+        CheckResult("no params", {}, Fraction(-7, 4), Fraction(0), Fraction(-7, 4), False),
+    )
+    report = AuditReport(grid={"h%": [1]}, results=results,
+                         summary={'x"%s': {"pass": 0, "fail": 1, "skip": 0}})
+    text = _reference_json(report)
+    loaded = report_from_json(text)
+    assert loaded.results == results
+    assert report_to_json(loaded) == _reference_json(loaded) == text
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_every_writer_keeps_the_exact_gate(bad):
+    for i in range(3):  # lhs, rhs, residual
+        values = [Fraction(1, 2), Fraction(0), Fraction(1, 2)]
+        values[i] = bad
+        result = CheckResult("eq7_printed", {"n": 2, "l": 1}, *values, False)
+        report = AuditReport(grid={}, results=(result,),
+                             summary={"eq7_printed": {"pass": 0, "fail": 1, "skip": 0}})
+        for writer in (report_to_json, report_to_csv, format_report_text):
+            with pytest.raises(TypeError, match="expected an int or a Fraction"):
+                writer(report)
+
+
+def test_check_results_are_immutable_named_tuples():
+    result = run_check("thm9", {"p": 3, "h": 1, "k": 1})
+    assert result == run_check("thm9", {"p": 3, "h": 1, "k": 1})
+    assert result._fields == ("id", "params", "lhs", "rhs", "residual", "holds", "skipped")
+    assert CheckResult("x", {}, None, None, None, False).skipped is False
+    assert repr(result) == ("CheckResult(id='thm9', params={'p': 3, 'h': 1, 'k': 1}, "
+                            "lhs=Fraction(0, 1), rhs=Fraction(7, 4), residual=Fraction(-7, 4), "
+                            "holds=False, skipped=False)")
+    with pytest.raises(AttributeError):
+        result.holds = True
 
 
 def test_sweep_rejects_duplicate_ids():

@@ -1,13 +1,14 @@
 import ast
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from dcsums import bernoulli_poly, euler_poly
 
-from oracles import series_coeffs_oracle
+from oracles import dedekind, dedekind_euclid, series_coeffs_oracle
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
@@ -53,6 +54,13 @@ def test_series_oracle_matches_polynomials_at_points():
         for n in range(11):
             assert es[n] == euler_poly(n).eval(x)
             assert bs[n] == bernoulli_poly(n).eval(x)
+
+
+def test_euclidean_dedekind_oracle_matches_the_direct_sum():
+    for k in range(1, 40):
+        for h in range(0, 2 * k + 1):
+            if gcd(h, k) == 1:
+                assert dedekind_euclid(h, k) == dedekind(h, k), (h, k)
 
 
 def test_series_oracle_rejects_bad_arguments():

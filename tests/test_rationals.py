@@ -57,6 +57,7 @@ def test_format_rational():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(0)) == "0"
     assert format_rational(-7) == "-7"
+    assert format_rational(True) == "1" and format_rational(False) == "0"
 
 
 def test_parse_rational_accepts_canonical_and_unreduced_forms():

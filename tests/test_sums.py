@@ -53,6 +53,22 @@ def test_dedekind_sum_matches_direct_oracle():
         assert dedekind_sum(h, k) == oracles.dedekind(h, k)
 
 
+def test_dedekind_sum_matches_euclidean_oracle_at_large_k():
+    # A structurally different oracle (reciprocity, not the defining sum) at
+    # k ~ 10^6: a small h, an h > k/2, and h = k - 1.
+    k = 1_000_003
+    for h in (7, 654_321, k - 1):
+        assert dedekind_sum(h, k) == oracles.dedekind_euclid(h, k), h
+
+
+@PROPERTY
+@given(st.integers(1, 3000).flatmap(lambda k: st.tuples(st.integers(1, 2 * k), st.just(k))))
+def test_dedekind_sum_matches_euclidean_oracle(hk):
+    h, k = hk
+    assume(gcd(h, k) == 1)
+    assert dedekind_sum(h, k) == oracles.dedekind_euclid(h, k)
+
+
 def test_dedekind_sum_requires_coprime_arguments():
     with pytest.raises(ValueError):
         dedekind_sum(2, 4)

@@ -13,7 +13,7 @@ from dcsums import (
     theorem9_rhs,
     umbral_power,
 )
-from dcsums.umbral import lattice_power_sum
+from dcsums.umbral import _euler_euler, _shifted_euler_power, lattice_power_sum
 
 import oracles
 
@@ -32,6 +32,25 @@ def test_two_umbra_examples():
     for h, k in [(1, 1), (2, 5), (3, 7)]:
         assert umbral_power([(h, 0, 0), (k, 0, 1)], 1) == Fraction(-(h + k), 2)
     assert umbral_power([(3, Fraction(1, 3), 0), (3, 1, 1)], 3) == Fraction(-25, 2)
+
+
+def test_euler_euler_matches_the_direct_double_sum():
+    # 2^j (aE + bE')^j = sum_{s+t=j} C(j,s) a^s b^t e_s e_t over every s, with
+    # e_s = 2^s E_s from the series oracle: the kernel skips the zero e_s.
+    e = [int(2**s * oracles.EULER_NUMBERS[s]) for s in range(16)]
+    for p in range(16):
+        for a, b in product((-3, -1, 0, 1, 2, 7), repeat=2):
+            expected = [sum(comb(j, s) * a**s * b ** (j - s) * e[s] * e[j - s]
+                            for s in range(j + 1)) for j in range(p + 1)]
+            assert _euler_euler(p, a, b) == expected, (p, a, b)
+
+
+def test_shifted_euler_power_matches_the_two_umbra_oracle():
+    # thm7's left side and thm6's right side: (E + x(E' + 1))^p over 2^p.
+    for p in range(16):
+        for x in (-4, -1, 0, 1, 3, 15, 143):
+            num, den = _shifted_euler_power(p, x)
+            assert den == 2**p and Fraction(num, den) == oracles.upow2(1, 0, x, 1, p), (p, x)
 
 
 def test_duplicate_umbra_ids_rejected():
