@@ -417,16 +417,15 @@ def _evaluate(check: IdentityCheck, values: tuple[int, ...], lhs: Callable[..., 
                        _ZERO if holds else Fraction(a * d - b * c, b * d), holds)
 
 
-def _tabled(check: IdentityCheck, name: str, values_of: dict[tuple[int, ...], Rational],
-            keep_all: bool) -> Callable[..., Rational]:
+def _tabled(check: IdentityCheck, name: str, values_of: dict[tuple[int, ...], Rational]
+            ) -> Callable[..., Rational]:
     """The side ``name`` of ``check``, looked up in and kept in ``values_of``.
 
-    A side named in ``hk_symmetric`` is keyed with h < k, and its value there
-    kept for the mirror the walk meets later; ``keep_all`` keeps every value,
-    for a later check with the same side.
+    A side named in ``hk_symmetric`` is keyed with h <= k, so a tuple finds
+    the value of its (h, k) mirror.
     """
     side = getattr(check, name)
-    h = k = 0  # an undeclared side compares a value with itself: no mirror, kept iff keep_all
+    h = k = 0  # an undeclared side compares a value with itself: no mirror
     if name in check.hk_symmetric:
         h, k = check.param_names.index("h"), check.param_names.index("k")
         order = list(range(len(check.param_names)))
@@ -437,9 +436,7 @@ def _tabled(check: IdentityCheck, name: str, values_of: dict[tuple[int, ...], Ra
         key = mirror(values) if values[h] > values[k] else values
         value = values_of.get(key)
         if value is None:
-            value = side(*values)
-            if keep_all or values[h] < values[k]:
-                values_of[key] = value
+            value = values_of[key] = side(*values)
         return value
 
     return tabled
@@ -472,29 +469,25 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     One side table, local to the call, evaluates each distinct side value
     once: a side function that several checks share, at the same params,
     and a side named in ``hk_symmetric`` at the (h, k) mirror of an earlier
-    tuple.  A side's values are dropped after its last check, and nothing is
-    kept between sweeps; every result equals what ``run_check`` gives.
+    tuple.  Such a side keeps every value it computes until the call
+    returns, and nothing is kept between sweeps; every result equals what
+    ``run_check`` gives.
     """
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate check ids in {list(ids)}")
     walk = sorted(map(get_check, ids), key=operator.attrgetter("id"))
-    sides = [(check.lhs, check.rhs) for check in walk]
-    uses = Counter(side for pair in sides for side in pair)
-    last = {side: i for i, pair in enumerate(sides) for side in pair}
+    uses = Counter(side for check in walk for side in (check.lhs, check.rhs))
     table: dict[Callable[..., Rational], dict[tuple[int, ...], Rational]] = {}
     results: list[CheckResult] = []
     summary: dict[str, dict[str, int]] = dict.fromkeys(ids)
-    for i, check in enumerate(walk):
+    for check in walk:
         lhs, rhs = (
-            _tabled(check, name, table.setdefault(side, {}), last[side] > i)
+            _tabled(check, name, table.setdefault(side, {}))
             if uses[side] > 1 or name in check.hk_symmetric else side
-            for name, side in zip(("lhs", "rhs"), sides[i])
+            for name, side in (("lhs", check.lhs), ("rhs", check.rhs))
         )
         block = [_evaluate(check, values, lhs, rhs) for values in grid._walk(check.param_names)]
         held, skip = sum([r.holds for r in block]), sum([r.skipped for r in block])
         summary[check.id] = {"pass": held, "fail": len(block) - held - skip, "skip": skip}
         results += block
-        for side in sides[i]:
-            if last[side] == i:
-                table.pop(side, None)
     return AuditReport(grid=grid.description(), results=tuple(results), summary=summary)

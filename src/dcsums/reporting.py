@@ -5,7 +5,8 @@ serialization is byte-deterministic: the layout of ``json.dumps(...,
 sort_keys=True, indent=2)``, which ``report_to_json`` writes directly, from
 one ``%`` template per (id, param names) with the id and names through
 ``json``.  ``report_from_json(report_to_json(r))`` reproduces the report
-field for field.  Skipped entries carry null lhs/rhs/residual — no value
+field for field, and the loader rejects an entry that breaks the
+``CheckResult`` invariant.  Skipped entries carry null lhs/rhs/residual — no value
 exists for them.  CSV rows mirror the JSON results one to one, in order.
 """
 
@@ -65,15 +66,44 @@ def report_to_json(report: AuditReport) -> str:
     )
 
 
+def _fault(r: CheckResult) -> str | None:
+    """How ``r`` breaks the ``CheckResult`` invariant, or None."""
+    values = (r.lhs, r.rhs, r.residual)
+    if r.skipped:
+        if values != (None, None, None):
+            return "a skipped entry has a value"
+        return "a skipped entry holds" if r.holds else None
+    if None in values:
+        return "an evaluated entry lacks a value"
+    (a, b), (c, d), (e, f) = [value.as_integer_ratio() for value in values]
+    if e * b * d != (a * d - b * c) * f:  # residual = lhs - rhs, without a Fraction
+        return "the residual is not lhs - rhs"
+    if r.holds != (e == 0):
+        return "holds is not residual == 0"
+    return None
+
+
+def _loaded_result(index: int, entry: dict) -> CheckResult:
+    result = CheckResult(entry["id"], {name: int(v) for name, v in entry["params"].items()},
+                         *[None if entry[key] is None else parse_rational(entry[key])
+                           for key in ("lhs", "rhs", "residual")],
+                         bool(entry["holds"]), bool(entry["skipped"]))
+    fault = _fault(result)
+    if fault:
+        raise ValueError(f"result {index} ({result.id!r}): {fault}")
+    return result
+
+
 def report_from_json(text: str) -> AuditReport:
+    """The report ``report_to_json`` wrote.
+
+    Each entry must keep the ``CheckResult`` invariant: a skipped entry has
+    null lhs, rhs and residual and does not hold; an evaluated one has all
+    three, its residual is lhs - rhs, and it holds iff that is 0.  An entry
+    that breaks it raises ValueError naming its index and id.
+    """
     data = json.loads(text)
-    results = tuple(
-        CheckResult(entry["id"], {name: int(v) for name, v in entry["params"].items()},
-                    *[None if entry[key] is None else parse_rational(entry[key])
-                      for key in ("lhs", "rhs", "residual")],
-                    bool(entry["holds"]), bool(entry["skipped"]))
-        for entry in data["results"]
-    )
+    results = tuple(_loaded_result(i, entry) for i, entry in enumerate(data["results"]))
     summary = {
         check_id: {k: int(v) for k, v in counts.items()}
         for check_id, counts in data["summary"].items()
@@ -82,10 +112,18 @@ def report_from_json(text: str) -> AuditReport:
 
 
 def report_to_csv(report: AuditReport) -> str:
+    """One row per result, with a column per grid parameter name.
+
+    A result with a param outside ``PARAM_NAMES`` (a loaded report can hold
+    one) raises ValueError naming it: it has no column to go in.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in report.results:
+        extra = r.params.keys() - PARAM_NAMES
+        if extra:
+            raise ValueError(f"result {r.id!r} has param {min(extra)!r}, which no CSV column holds")
         row = [r.id]
         row += [str(r.params[name]) if name in r.params else "" for name in PARAM_NAMES]
         row += ("", "", "") if r.skipped else map(format_rational, (r.lhs, r.rhs, r.residual))

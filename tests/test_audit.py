@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -308,6 +309,39 @@ def test_loaded_reports_write_ids_and_names_through_json():
     assert report_to_json(loaded) == _reference_json(loaded) == text
 
 
+_ENTRY = {"id": "eq7_printed", "params": {"n": 2, "l": 1}, "lhs": "1/2", "rhs": "0",
+          "residual": "1/2", "holds": False, "skipped": False}
+_NO_VALUES = {"lhs": None, "rhs": None, "residual": None}
+
+
+@pytest.mark.parametrize("change, fault", [
+    ({"skipped": True, "holds": True}, "a skipped entry has a value"),
+    ({**_NO_VALUES, "skipped": True, "lhs": "1/2"}, "a skipped entry has a value"),
+    ({**_NO_VALUES, "skipped": True, "holds": True}, "a skipped entry holds"),
+    ({"lhs": None}, "an evaluated entry lacks a value"),
+    ({"residual": None}, "an evaluated entry lacks a value"),
+    ({"residual": "-1/2"}, "the residual is not lhs - rhs"),
+    ({"lhs": "2", "rhs": "1", "residual": "1", "holds": True}, "holds is not residual == 0"),
+    ({"lhs": "1", "rhs": "1", "residual": "0"}, "holds is not residual == 0"),
+], ids=["skipped-holds-with-values", "skipped-with-lhs", "skipped-holds", "no-lhs",
+        "no-residual", "wrong-residual", "holds-nonzero", "fails-zero"])
+def test_report_from_json_rejects_entries_that_break_the_invariant(change, fault):
+    def text(*entries):
+        return json.dumps({"grid": {}, "results": list(entries), "summary": {}})
+
+    assert report_from_json(text(_ENTRY)).results[0].residual == Fraction(1, 2)
+    with pytest.raises(ValueError, match=re.escape(f"result 1 ('thm9'): {fault}")):
+        report_from_json(text(_ENTRY, {**_ENTRY, "id": "thm9", **change}))
+
+
+def test_report_to_csv_rejects_params_it_has_no_column_for():
+    result = CheckResult("x", {"p": 1, "q": 3}, Fraction(1, 2), Fraction(0), Fraction(1, 2),
+                         False)
+    report = AuditReport(grid={}, results=(result,), summary={})
+    with pytest.raises(ValueError, match="'x' has param 'q'"):
+        report_to_csv(report)
+
+
 @pytest.mark.parametrize("bad", [0.5, "1/2"])
 def test_every_writer_keeps_the_exact_gate(bad):
     for i in range(3):  # lhs, rhs, residual
@@ -447,6 +481,30 @@ def test_sweep_shares_each_side_across_checks_and_mirrors(monkeypatch):
         assert Counter(dc_calls) == {key: 2 for key in unordered}
         # thm9's right side is not symmetric: it runs at every live ordered tuple.
         assert rhs_calls == [tuple(r.params.values()) for r in live if r.id == "thm9"]
+
+
+def test_sweep_shares_a_side_across_checks_that_are_not_adjacent(monkeypatch):
+    calls = []
+    kernel = audit.dc_sum
+
+    def counted_dc_sum(p, h, k):
+        calls.append((p, h, k))
+        return kernel(p, h, k)
+
+    monkeypatch.setattr(audit, "dc_sum", counted_dc_sum)
+    # cor4, prop5 and thm6 share m^p T_p(1,m); eq11 sits between cor4 and
+    # prop5 in id order and calls no dc_sum.  p = 1 is live for cor4 and
+    # prop5 but not for thm6.
+    grid = ParamGrid(p_values=(1, 2, 3, 4, 5), m_values=tuple(range(1, 10)))
+    ids = ["cor4", "eq11", "prop5", "thm6"]
+    for _ in range(2):  # a second sweep repeats every call: nothing outlives a sweep
+        calls.clear()
+        report = sweep(ids, grid)
+        live = {check_id: {(r.params["p"], r.params["m"]) for r in report.results
+                           if r.id == check_id and not r.skipped} for check_id in ids}
+        assert live["eq11"] and (1, 1) in live["cor4"] & live["prop5"] - live["thm6"]
+        shared = live["cor4"] | live["prop5"] | live["thm6"]
+        assert Counter(calls) == {(p, 1, m): 1 for p, m in shared}
 
 
 def test_sweep_rejects_non_integer_grid_values():
