@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .appell import Poly, _euler_ints, _horner, euler_number, euler_poly, poly_integral
 from .rationals import Rational
-from .sums import alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
+from .sums import _dc_line, alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
 from .umbral import (_euler_pairs, _pair_sum, _shifted_euler_power, _umbral, lattice_power_sum,
                      theorem9_rhs)
 
@@ -187,8 +187,9 @@ def _scaled_dc_sum(p: int, m: int) -> Fraction:
 
 
 def _reciprocity_lhs(p: int, h: int, k: int) -> Fraction:
-    (a, b), (c, d) = dc_sum(p, h, k).as_integer_ratio(), dc_sum(p, k, h).as_integer_ratio()
-    return Fraction(*_pair_sum([(k**p * a, b), (h**p * c, d)]))
+    # k^p T_p(h,k) + h^p T_p(k,h) = 2 (h S(h,k) + k S(k,h)) / (D hk 2^p), S the line sum.
+    return Fraction(2 * (h * _dc_line(p, h, k) + k * _dc_line(p, k, h)),
+                    euler_poly(p).den * h * k << p)
 
 
 def _derivative_sum_lhs(p: int, s: int) -> Fraction:

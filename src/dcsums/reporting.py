@@ -6,8 +6,9 @@ sort_keys=True, indent=2)``, which ``report_to_json`` writes directly, from
 one ``%`` template per (id, param names) with the id and names through
 ``json``.  ``report_from_json(report_to_json(r))`` reproduces the report
 field for field, and the loader rejects an entry that breaks the
-``CheckResult`` invariant.  Skipped entries carry null lhs/rhs/residual — no value
-exists for them.  CSV rows mirror the JSON results one to one, in order.
+``CheckResult`` invariant and a summary that does not tally the entries.
+Skipped entries carry null lhs/rhs/residual — no value exists for them.
+CSV rows mirror the JSON results one to one, in order.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def report_from_json(text: str) -> AuditReport:
     null lhs, rhs and residual and does not hold; an evaluated one has all
     three, its residual is lhs - rhs, and it holds iff that is 0.  An entry
     that breaks it raises ValueError naming its index and id.
+
+    The summary must tally the entries: every entry's id is in it, and each
+    id's pass/fail/skip counts its entries (all zeros for an id without
+    any, as ``sweep`` writes).  Otherwise ValueError names the first id, in
+    entry order and then summary order, whose tally is wrong.
     """
     data = json.loads(text)
     results = tuple(_loaded_result(i, entry) for i, entry in enumerate(data["results"]))
@@ -108,6 +114,14 @@ def report_from_json(text: str) -> AuditReport:
         check_id: {k: int(v) for k, v in counts.items()}
         for check_id, counts in data["summary"].items()
     }
+    tally = {check_id: {"pass": 0, "fail": 0, "skip": 0}
+             for check_id in [*(r.id for r in results), *summary]}
+    for r in results:
+        tally[r.id]["skip" if r.skipped else "pass" if r.holds else "fail"] += 1
+    for check_id, counts in tally.items():
+        if summary.get(check_id) != counts:
+            raise ValueError(f"summary of {check_id!r} is {summary.get(check_id)}, "
+                             f"but its results count {counts}")
     return AuditReport(grid=data["grid"], results=results, summary=summary)
 
 

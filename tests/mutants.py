@@ -40,7 +40,9 @@ class Mutant(NamedTuple):
 
 _AUDIT = "src/dcsums/audit.py"
 _REPORTING = "src/dcsums/reporting.py"
+_SUMS = "src/dcsums/sums.py"
 _T_AUDIT = "tests/test_audit.py::"
+_T_SUMS = "tests/test_sums.py::"
 _LOADER = (_T_AUDIT + "test_report_from_json_rejects_entries_that_break_the_invariant",)
 
 MUTANTS = (
@@ -82,7 +84,7 @@ MUTANTS = (
     Mutant("euler-euler-even-j-bound", "src/dcsums/umbral.py",
            "for t in range(1, p - s + 1, 2):", "for t in range(1, p - s - 1, 2):",
            ("tests/test_umbral.py::test_euler_euler_matches_the_direct_double_sum",)),
-    Mutant("thm8-periodic-q", "src/dcsums/sums.py",
+    Mutant("thm8-periodic-q", _SUMS,
            "q, r = (1, 0) if periodic else (0, m)", "q, r = (0, 0) if periodic else (0, m)",
            (_T_AUDIT + "test_hk_symmetric_sides_are_symmetric_as_written",)),
     Mutant("tangent-recurrence", "src/dcsums/appell.py",
@@ -101,6 +103,26 @@ MUTANTS = (
            ("tests/test_rationals.py::test_inexact_inputs_raise_type_error",)),
     Mutant("grid-default-h", _AUDIT, '"h": (1, 9)', '"h": (1, 8)',
            (_T_AUDIT + "test_from_maxima_ranges",)),
+    Mutant("grid-coprime-filter", _AUDIT, "gcd(values[h], values[k]) == 1",
+           "gcd(values[h], values[k]) <= 2",
+           (_T_AUDIT + "test_coprime_filter_without_odd_only",)),
+    Mutant("loader-summary-ids-only", _REPORTING, "if summary.get(check_id) != counts:",
+           "if check_id not in summary:",
+           (_T_AUDIT + "test_report_from_json_rejects_a_summary_that_does_not_tally_the_entries",)),
+    # The centred Euler kernels.
+    Mutant("centered-parity-check", "src/dcsums/appell.py", "if any(s[1 - d % 2::2]):",
+           "if False:",
+           ("tests/test_appell.py::test_centered_rejects_a_polynomial_without_the_reflection",)),
+    Mutant("line-centre-sign", _SUMS, "y = 2 * r - modulus", "y = 2 * r + modulus",
+           (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
+    Mutant("line-odd-factor", _SUMS, "        if odd:\n            term *= y\n", "",
+           (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
+    Mutant("lattice-odd-factor", _SUMS, "            if odd:\n                term *= y\n", "",
+           (_T_SUMS + "test_theorem8_rhs_matches_direct_oracle",)),
+    Mutant("dc-sum-scale", _SUMS, "euler_poly(p).den * k ** (p + 1) << p)",
+           "euler_poly(p).den * k ** (p + 1))", (_T_SUMS + "test_dc_sum_golden_values",)),
+    Mutant("reciprocity-lhs-scale", _AUDIT, "euler_poly(p).den * h * k << p)",
+           "euler_poly(p).den * h * k)", (_T_AUDIT + "test_far_tuples_match_the_oracles",)),
 )
 
 

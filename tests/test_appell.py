@@ -229,6 +229,23 @@ def test_scaled_horner_vector_is_the_integer_form(poly, r, m):
     assert appell._horner(poly.scaled(m), r) == scale * _direct_value(poly, Fraction(r, m))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([euler_poly, bernoulli_poly]), st.integers(0, 30), st.integers(1, 100))
+def test_centered_horner_vector_is_the_scaled_form_about_one_half(family, d, m):
+    poly = family(d)
+    centered, scaled = poly.centered(m), poly.scaled(m)
+    assert len(centered) == d // 2 + 1
+    for n in range(2 * m + 1):  # y = 2n - m runs from -m to m
+        y = 2 * n - m
+        assert y ** (d % 2) * appell._horner(centered, y * y) == 2**d * appell._horner(scaled, n)
+
+
+def test_centered_rejects_a_polynomial_without_the_reflection():
+    # x + x^2 is not E_2-like: P(1 - x) = 2 - 3x + x^2.
+    with pytest.raises(ValueError, match="symmetric"):
+        Poly([0, 1, 1]).centered(3)
+
+
 def test_derivative_examples():
     assert poly_derivative(euler_poly(3)) == 3 * euler_poly(2)
     assert poly_derivative(Poly([5])) == Poly()

@@ -8,6 +8,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,15 @@ def test_grid_filters():
     assert all(h % 2 == 1 and k % 2 == 1 for h, k in pairs)
 
 
+def test_coprime_filter_without_odd_only():
+    # Odd h, k never share the factor 2, so only even values test the gcd itself.
+    grid = ParamGrid.from_maxima(hmax=6, kmax=6, coprime_only=True)
+    pairs = [(p["h"], p["k"]) for p in grid.iter_params(("h", "k"))]
+    assert (2, 4) not in pairs and (4, 6) not in pairs
+    assert (2, 3) in pairs
+    assert all(gcd(h, k) == 1 for h, k in pairs)
+
+
 def test_from_maxima_ranges():
     grid = ParamGrid.from_maxima(pmax=2, lmax=0, smax=3)
     assert grid == ParamGrid(
@@ -301,8 +311,11 @@ def test_loaded_reports_write_ids_and_names_through_json():
         CheckResult("100%", {"%s": 6, "%%d": 7}, None, None, None, False, True),
         CheckResult("no params", {}, Fraction(-7, 4), Fraction(0), Fraction(-7, 4), False),
     )
-    report = AuditReport(grid={"h%": [1]}, results=results,
-                         summary={'x"%s': {"pass": 0, "fail": 1, "skip": 0}})
+    summary = {'x"%s': {"pass": 0, "fail": 1, "skip": 0},
+               "\u00e9\\%": {"pass": 1, "fail": 0, "skip": 0},
+               "100%": {"pass": 0, "fail": 0, "skip": 1},
+               "no params": {"pass": 0, "fail": 1, "skip": 0}}
+    report = AuditReport(grid={"h%": [1]}, results=results, summary=summary)
     text = _reference_json(report)
     loaded = report_from_json(text)
     assert loaded.results == results
@@ -312,6 +325,16 @@ def test_loaded_reports_write_ids_and_names_through_json():
 _ENTRY = {"id": "eq7_printed", "params": {"n": 2, "l": 1}, "lhs": "1/2", "rhs": "0",
           "residual": "1/2", "holds": False, "skipped": False}
 _NO_VALUES = {"lhs": None, "rhs": None, "residual": None}
+
+
+def _report_text(entries, summary=None):
+    """A JSON report of ``entries``; the summary defaults to their tally."""
+    if summary is None:
+        summary = {}
+        for entry in entries:
+            counts = summary.setdefault(entry["id"], {"pass": 0, "fail": 0, "skip": 0})
+            counts["skip" if entry["skipped"] else "pass" if entry["holds"] else "fail"] += 1
+    return json.dumps({"grid": {}, "results": list(entries), "summary": summary})
 
 
 @pytest.mark.parametrize("change, fault", [
@@ -326,12 +349,29 @@ _NO_VALUES = {"lhs": None, "rhs": None, "residual": None}
 ], ids=["skipped-holds-with-values", "skipped-with-lhs", "skipped-holds", "no-lhs",
         "no-residual", "wrong-residual", "holds-nonzero", "fails-zero"])
 def test_report_from_json_rejects_entries_that_break_the_invariant(change, fault):
-    def text(*entries):
-        return json.dumps({"grid": {}, "results": list(entries), "summary": {}})
-
-    assert report_from_json(text(_ENTRY)).results[0].residual == Fraction(1, 2)
+    assert report_from_json(_report_text([_ENTRY])).results[0].residual == Fraction(1, 2)
     with pytest.raises(ValueError, match=re.escape(f"result 1 ('thm9'): {fault}")):
-        report_from_json(text(_ENTRY, {**_ENTRY, "id": "thm9", **change}))
+        report_from_json(_report_text([_ENTRY, {**_ENTRY, "id": "thm9", **change}]))
+
+
+_TALLY = {"pass": 0, "fail": 1, "skip": 0}
+
+
+@pytest.mark.parametrize("summary, check_id", [
+    # A failing thm9 entry summed up as a pass: the text form said "all checks hold".
+    ({"thm9": {"pass": 1, "fail": 0, "skip": 0}}, "thm9"),
+    ({}, "thm9"),
+    ({"thm9": {**_TALLY, "extra": 0}}, "thm9"),
+    ({"thm9": _TALLY, "cor4": {"pass": 0, "fail": 0, "skip": 1}}, "cor4"),
+], ids=["fail-summed-as-pass", "id-missing", "extra-count", "counts-without-entries"])
+def test_report_from_json_rejects_a_summary_that_does_not_tally_the_entries(summary, check_id):
+    entries = [{**_ENTRY, "id": "thm9", "params": {"p": 3, "h": 1, "k": 1}}]
+    # An id with no entries has all zeros, as sweep writes it.
+    loaded = report_from_json(_report_text(entries, {
+        "thm9": _TALLY, "cor4": {"pass": 0, "fail": 0, "skip": 0}}))
+    assert format_report_text(loaded).endswith("\n1 failing instances\n")
+    with pytest.raises(ValueError, match=re.escape(f"summary of {check_id!r}")):
+        report_from_json(_report_text(entries, summary))
 
 
 def test_report_to_csv_rejects_params_it_has_no_column_for():
@@ -450,18 +490,18 @@ def test_sweep_reports_each_tuples_own_values(grid):
 
 
 def test_sweep_shares_each_side_across_checks_and_mirrors(monkeypatch):
-    dc_calls, rhs_calls = [], []
-    kernel, thm9 = audit.dc_sum, get_check("thm9")
+    line_calls, rhs_calls = [], []
+    kernel, thm9 = audit._dc_line, get_check("thm9")
 
-    def counted_dc_sum(p, h, k):
-        dc_calls.append((p, min(h, k), max(h, k)))
+    def counted_dc_line(p, h, k):
+        line_calls.append((p, min(h, k), max(h, k)))
         return kernel(p, h, k)
 
     def counted_rhs(p, h, k):
         rhs_calls.append((p, h, k))
         return thm9.rhs(p, h, k)
 
-    monkeypatch.setattr(audit, "dc_sum", counted_dc_sum)
+    monkeypatch.setattr(audit, "_dc_line", counted_dc_line)
     # The row rebuilt the way perfbench/tracer.py rebuilds it keeps its declaration.
     monkeypatch.setitem(audit.REGISTRY, "thm9", dataclasses.replace(thm9, rhs=counted_rhs))
     # Neither odd_only nor coprime_only: thm8 lives on odd h, k, thm9 on
@@ -469,7 +509,7 @@ def test_sweep_shares_each_side_across_checks_and_mirrors(monkeypatch):
     grid = ParamGrid(p_values=(3, 5), h_values=tuple(range(1, 8)), k_values=tuple(range(1, 8)))
     ids = ["thm8_periodic", "thm8_poly", "thm9"]
     for _ in range(2):  # a second sweep repeats every call: nothing outlives a sweep
-        dc_calls.clear()
+        line_calls.clear()
         rhs_calls.clear()
         report = sweep(ids, grid)
         live = [r for r in report.results if not r.skipped]
@@ -477,8 +517,8 @@ def test_sweep_shares_each_side_across_checks_and_mirrors(monkeypatch):
                       max(r.params["h"], r.params["k"])) for r in live}
         assert {r.id for r in live} == set(ids) and len(unordered) < len(live) / 2
         # k^p T_p(h,k) + h^p T_p(k,h) once per unordered live (p, {h, k}):
-        # two dc_sums, T_p(h,k) and T_p(k,h).
-        assert Counter(dc_calls) == {key: 2 for key in unordered}
+        # two integer line sums, those of T_p(h,k) and T_p(k,h).
+        assert Counter(line_calls) == {key: 2 for key in unordered}
         # thm9's right side is not symmetric: it runs at every live ordered tuple.
         assert rhs_calls == [tuple(r.params.values()) for r in live if r.id == "thm9"]
 
@@ -664,7 +704,7 @@ def _bench_constants(*names):
 
 def test_stretch_grid_report_keeps_the_bench_sha256():
     # The benchmark's reciprocity-stretch gate: thm8_periodic, whose sides are
-    # theorem8_rhs and two dc_sums, over its grid walked in ascending order.
+    # theorem8_rhs and two DC-sum line sums, over its grid walked in ascending order.
     digest, p_values, hk_max = _bench_constants("STRETCH_SHA256", "STRETCH_P", "STRETCH_HK_MAX")
     hk = tuple(range(1, hk_max + 1))
     grid = ParamGrid(p_values=p_values, h_values=hk, k_values=hk, odd_only=True, coprime_only=True)
