@@ -318,7 +318,8 @@ _CHECKS = (
                   "alternating power sum vs corrected (-1)^(n+1) E_l(n) + E_l"),
     IdentityCheck("eq10", ("p", "h", "k"), lambda p, h, k: p >= 0 and h >= 1 and k >= 1,
                   _addition_lhs, _addition_rhs,
-                  "addition theorem E_p(x+y) = sum C(p,s) E_s(x) y^(p-s) at x=h/k, y=k/h"),
+                  "addition theorem E_p(x+y) = sum C(p,s) E_s(x) y^(p-s) at x=h/k, y=k/h",
+                  hk_symmetric=("lhs",)),
     IdentityCheck("eq11", ("p", "m"), lambda p, m: p >= 0 and m >= 1 and m % 2 == 1,
                   _multiplication_lhs, _multiplication_rhs,
                   "multiplication theorem for odd m, instantiated at x = 1/(2m)"),

@@ -3,10 +3,11 @@
 Rationals travel as canonical strings (``"13/54"``), never floats.  JSON
 serialization is byte-deterministic: the layout of ``json.dumps(...,
 sort_keys=True, indent=2)``, which ``report_to_json`` writes directly, from
-one ``%`` template per (id, param names) with the id and names through
-``json``.  ``report_from_json(report_to_json(r))`` reproduces the report
-field for field, and the loader rejects an entry that breaks the
-``CheckResult`` invariant and a summary that does not tally the entries.
+one ``%`` template per run of results sharing an id and param names, with
+the id and names through ``json``.  ``report_from_json(report_to_json(r))``
+reproduces the report field for field, and the loader rejects an entry that
+breaks the ``CheckResult`` invariant or ``sweep``'s order, and a summary
+that does not tally the entries.
 Skipped entries carry null lhs/rhs/residual — no value exists for them.
 CSV rows mirror the JSON results one to one, in order.
 """
@@ -16,8 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import groupby
 
-from .audit import PARAM_NAMES, AuditReport, CheckResult
+from .audit import PARAM_NAMES, REGISTRY, AuditReport, CheckResult
 from .rationals import format_rational, parse_rational
 
 __all__ = ["report_to_json", "report_from_json", "report_to_csv", "format_report_text"]
@@ -35,28 +37,27 @@ _BLOCK = ('    {\n      "holds": %s,\n      "id": %s,\n      "lhs": %s,\n      "
           '      "residual": %s,\n      "rhs": %s,\n      "skipped": %s\n    }')
 
 
-def _templates(check_id: str, names: list[str]) -> tuple[str, str, list[str]]:
-    """``_BLOCK`` for an evaluated and a skipped result, a %s per name; and the names."""
+def _templates(check_id: str, names: list[str]) -> tuple[str, str]:
+    """``_BLOCK`` for an evaluated and a skipped result, a %s per name."""
     literal = [json.dumps(text).replace("%", "%%") for text in (check_id, *names)]
     params = ",".join(f"\n        {name}: %s" for name in literal[1:])
     params = "{%s\n      }" % params if names else "{}"
     return (_BLOCK % ("%s", literal[0], '"%s"', params, '"%s"', '"%s"', "false"),
-            _BLOCK % ("false", literal[0], "null", params, "null", "null", "true"), names)
+            _BLOCK % ("false", literal[0], "null", params, "null", "null", "true"))
 
 
 def report_to_json(report: AuditReport) -> str:
-    templates = {}
     blocks = []
-    for r in report.results:
-        params = r.params
-        key = (r.id, *params)
-        if key not in templates:
-            templates[key] = _templates(r.id, sorted(params))
-        evaluated, skipped, names = templates[key]
-        values = [params[name] for name in names]
-        blocks.append(skipped % tuple(values) if r.skipped else evaluated % (
-            "true" if r.holds else "false", format_rational(r.lhs), *values,
-            format_rational(r.residual), format_rational(r.rhs)))
+    # One template per run of results with the same id and param names;
+    # sweep writes one such run per check.
+    for (check_id, *names), run in groupby(report.results, lambda r: (r.id, *r.params)):
+        names.sort()
+        evaluated, skipped = _templates(check_id, names)
+        for r in run:
+            values = [r.params[name] for name in names]
+            blocks.append(skipped % tuple(values) if r.skipped else evaluated % (
+                "true" if r.holds else "false", format_rational(r.lhs), *values,
+                format_rational(r.residual), format_rational(r.rhs)))
     results = ",\n".join(blocks)
     if results:
         results = f"\n{results}\n  "
@@ -95,6 +96,23 @@ def _loaded_result(index: int, entry: dict) -> CheckResult:
     return result
 
 
+def _check_order(results: tuple[CheckResult, ...]) -> None:
+    """The order rules of ``report_from_json``: ValueError at the first result breaking one."""
+    names, seen, last = {}, set(), ()
+    for i, r in enumerate(results):
+        order = REGISTRY[r.id].param_names if r.id in REGISTRY else ()
+        place = (r.id, *[r.params[name] for name in order if name in r.params])
+        key = (r.id, *sorted(r.params.items()))
+        fault = ("its param names differ from its id's first entry"
+                 if r.params.keys() != names.setdefault(r.id, r.params.keys())
+                 else "it repeats an earlier entry" if key in seen
+                 else "it is out of sweep order" if place < last else None)
+        if fault:
+            raise ValueError(f"result {i} ({r.id!r}): {fault}")
+        seen.add(key)
+        last = place
+
+
 def report_from_json(text: str) -> AuditReport:
     """The report ``report_to_json`` wrote.
 
@@ -103,6 +121,12 @@ def report_from_json(text: str) -> AuditReport:
     three, its residual is lhs - rhs, and it holds iff that is 0.  An entry
     that breaks it raises ValueError naming its index and id.
 
+    The entries must come in the order ``sweep`` writes: ids ascending and,
+    within an id the registry knows, params ascending in that row's
+    ``param_names`` order; no entry repeats an earlier (id, params), and
+    one id's entries share one set of param names.  The first entry that
+    breaks this raises ValueError naming its index and id.
+
     The summary must tally the entries: every entry's id is in it, and each
     id's pass/fail/skip counts its entries (all zeros for an id without
     any, as ``sweep`` writes).  Otherwise ValueError names the first id, in
@@ -110,6 +134,7 @@ def report_from_json(text: str) -> AuditReport:
     """
     data = json.loads(text)
     results = tuple(_loaded_result(i, entry) for i, entry in enumerate(data["results"]))
+    _check_order(results)
     summary = {
         check_id: {k: int(v) for k, v in counts.items()}
         for check_id, counts in data["summary"].items()

@@ -15,6 +15,10 @@ applies it and runs its named tests.  A mutant they miss gets the full
 Tier-1 run.  It prints one verdict per row and exits 1 if any mutant
 survives or any run errs, and 2 on an unknown id or when the named tests
 fail unmutated.
+
+A row flagged ``root_equivalent`` is killed only by a test that skips under
+root, which may write a read-only file: run as root, the runner prints
+``equivalent as root`` for it and counts it as no survivor.
 """
 
 from __future__ import annotations
@@ -36,14 +40,21 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids, without parameters
+    root_equivalent: bool = False
 
 
 _AUDIT = "src/dcsums/audit.py"
 _REPORTING = "src/dcsums/reporting.py"
 _SUMS = "src/dcsums/sums.py"
+_UMBRAL = "src/dcsums/umbral.py"
 _T_AUDIT = "tests/test_audit.py::"
+_T_CLI = "tests/test_cli.py::"
 _T_SUMS = "tests/test_sums.py::"
+_T_UMBRAL = "tests/test_umbral.py::"
 _LOADER = (_T_AUDIT + "test_report_from_json_rejects_entries_that_break_the_invariant",)
+_ORDER = (_T_AUDIT + "test_report_from_json_rejects_entries_out_of_sweep_order",)
+_TEXT = (_T_CLI + "test_audit_text_format",)
+EQUIVALENT_AS_ROOT = "equivalent as root"
 
 MUTANTS = (
     # The sweep's side table.
@@ -123,6 +134,70 @@ MUTANTS = (
            "euler_poly(p).den * k ** (p + 1))", (_T_SUMS + "test_dc_sum_golden_values",)),
     Mutant("reciprocity-lhs-scale", _AUDIT, "euler_poly(p).den * h * k << p)",
            "euler_poly(p).den * h * k)", (_T_AUDIT + "test_far_tuples_match_the_oracles",)),
+    # The terms the kernels' reflection pairing does not pair.
+    Mutant("line-even-middle", _SUMS, "if count % 2 == 0:", "if False:",
+           (_T_SUMS + "test_dc_sum_property",)),
+    Mutant("gen-dedekind-even-middle", _SUMS, "if k % 2 == 0:", "if False:",
+           (_T_SUMS + "test_gen_dedekind_sum_property",)),
+    Mutant("lattice-n-equals-m", _SUMS, "if u * h % k == 0:", "if False:",
+           (_T_SUMS + "test_theorem8_rhs_matches_direct_oracle",)),
+    Mutant("line-sign-at-zero", _SUMS, "(flip if r else flip_at_zero)", "flip",
+           (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
+    Mutant("lattice-floor", _UMBRAL, "j = h * u // k", "j = -(-h * u // k)",
+           (_T_UMBRAL + "test_lattice_power_sum_matches_term_by_term_oracle",)),
+    Mutant("shifted-power-s0", _UMBRAL, "if e[s]:", "if s and e[s]:",
+           (_T_UMBRAL + "test_shifted_euler_power_matches_the_two_umbra_oracle",)),
+    # The reflection pairing itself: a partner's sign without (-1)^p, a
+    # middle term counted twice, and the lattice kernel's shift.
+    Mutant("line-partner-sign", _SUMS, "flip = 1 if (count + c + p) % 2 else -1",
+           "flip = 1 if (count + c) % 2 else -1", (_T_SUMS + "test_dc_sum_property",)),
+    Mutant("gen-dedekind-partner-sign", _SUMS, "sign = -1 if p % 2 else 1", "sign = 1",
+           (_T_SUMS + "test_gen_dedekind_sum_property",)),
+    Mutant("lattice-partner-sign", _SUMS, "if (h + k + p) % 2 else (-m, 1)",
+           "if (h + k) % 2 else (-m, 1)", (_T_SUMS + "test_theorem8_rhs_property",)),
+    Mutant("line-middle-twice", _SUMS, "for j in range(1, (count + 1) // 2):",
+           "for j in range(1, count // 2 + 1):", (_T_SUMS + "test_dc_sum_property",)),
+    Mutant("gen-dedekind-middle-twice", _SUMS, "range(1, (k + 1) // 2)", "range(1, k // 2 + 1)",
+           (_T_SUMS + "test_gen_dedekind_sum_property",)),
+    Mutant("lattice-shift-sign", _UMBRAL, "k * (h - j)", "k * (h + j)",
+           (_T_UMBRAL + "test_lattice_power_sum_matches_term_by_term_oracle",)),
+    # Preconditions.
+    Mutant("umbral-duplicate-ids", _UMBRAL, "if len(set(ids)) != len(ids):", "if False:",
+           (_T_UMBRAL + "test_duplicate_umbra_ids_rejected",)),
+    Mutant("umbral-empty-form", _UMBRAL, "return Fraction(int(p == 0))", "return Fraction(0)",
+           (_T_UMBRAL + "test_empty_form_and_power_zero",)),
+    Mutant("thm9-odd-p", _UMBRAL, "if p < 1 or p % 2 == 0:", "if p < 1:",
+           (_T_UMBRAL + "test_theorem9_rhs_rejects_even_power",)),
+    Mutant("dc-line-p", _SUMS, "if p < 0:", "if False:", (_T_SUMS + "test_dc_sum_preconditions",)),
+    Mutant("grid-odd-m", _AUDIT, 'name in ("h", "k", "m")', 'name in ("h", "k")',
+           (_T_AUDIT + "test_grid_filters",)),
+    Mutant("grid-repeated-value", _AUDIT, "if len(set(values)) != len(values):", "if False:",
+           (_T_AUDIT + "test_sweep_rejects_duplicate_ids",)),
+    Mutant("sweep-duplicate-ids", _AUDIT, "if len(set(ids)) != len(ids):", "if False:",
+           (_T_AUDIT + "test_sweep_rejects_duplicate_ids",)),
+    Mutant("cli-vacuous-audit", "src/dcsums/cli.py", "if vacuous:", "if False:",
+           (_T_CLI + "test_usage_errors_exit_2",)),
+    Mutant("out-read-only", "src/dcsums/cli.py", " and os.access(target, os.W_OK)", "",
+           (_T_CLI + "test_audit_read_only_out_file_exits_2_before_sweeping",),
+           root_equivalent=True),
+    # Writers.
+    Mutant("json-empty-results", _REPORTING, "    if results:\n", "    if True:\n",
+           (_T_AUDIT + "test_report_to_json_matches_the_json_encoder",)),
+    Mutant("json-skipped-from-holds", _REPORTING, "if r.skipped else evaluated %",
+           "if r.holds else evaluated %",
+           (_T_AUDIT + "test_report_to_json_matches_the_json_encoder",)),
+    Mutant("csv-skipped-column", _REPORTING, '"true" if r.skipped else "false"]', '"false"]',
+           (_T_CLI + "test_audit_json_round_trip_and_csv_parity",)),
+    Mutant("text-residual", _REPORTING,
+           'return line if r.holds else f"{line}  residual={residual}"', "return line", _TEXT),
+    Mutant("text-total", _REPORTING,
+           'f"{total_fail} failing instances" if total_fail else "all checks hold"',
+           '"all checks hold"', _TEXT),
+    # report_from_json's order rules, one each.
+    Mutant("loader-order", _REPORTING, "place < last", "place < ()", _ORDER),
+    Mutant("loader-repeat", _REPORTING, "key in seen", "key in ()", _ORDER),
+    Mutant("loader-names", _REPORTING,
+           "r.params.keys() != names.setdefault(r.id, r.params.keys())", "False", _ORDER),
 )
 
 
@@ -137,6 +212,8 @@ def _verdict(tree: Path, mutant: Mutant) -> str:
     original = path.read_text(encoding="utf-8")
     if original.count(mutant.old) != 1:
         return "error: old text does not occur exactly once"
+    if mutant.root_equivalent and os.geteuid() == 0:
+        return EQUIVALENT_AS_ROOT
     path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
     try:
         # The full run leaves out the guard, which any applied mutant fails.
@@ -168,7 +245,8 @@ def main(argv: list[str]) -> int:
         for mutant in rows:
             verdicts[mutant.id] = _verdict(tree, mutant)
             print(f"{mutant.id}: {verdicts[mutant.id]}", flush=True)
-    return 0 if all(v.startswith("killed") for v in verdicts.values()) else 1
+    return 0 if all(v.startswith("killed") or v == EQUIVALENT_AS_ROOT
+                    for v in verdicts.values()) else 1
 
 
 if __name__ == "__main__":

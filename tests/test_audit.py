@@ -12,6 +12,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dcsums import (
     AuditReport,
@@ -295,7 +296,14 @@ def test_report_to_json_matches_the_json_encoder():
     assert any(r.skipped for r in skipped.results)
     assert any(not r.skipped and not r.holds and r.residual < 0 for r in default.results)
     assert unsorted.grid["h"] == [5, 1, 3]
-    for report in (standard, empty, no_tuples, skipped, default, unsorted):
+    # Out of sweep order, as a report built by hand can be: one id in two
+    # runs, and one id with two sets of names, each run its own template.
+    a, b, c = skipped.results[-1], skipped.results[0], default.results[0]
+    interleaved = AuditReport(grid={}, results=(
+        a, b, a, c, CheckResult(a.id, {"q": 2}, Fraction(1), Fraction(1), Fraction(0), True)),
+        summary={})
+    assert a.id != b.id and a.skipped
+    for report in (standard, empty, no_tuples, skipped, default, unsorted, interleaved):
         assert report_to_json(report) == _reference_json(report)
     assert '"results": []' in report_to_json(empty)
 
@@ -303,13 +311,14 @@ def test_report_to_json_matches_the_json_encoder():
 def test_loaded_reports_write_ids_and_names_through_json():
     # report_from_json takes any id and param name; the writer's templates
     # must escape them as json does, and keep a literal % out of formatting.
+    # In sweep's order, ids ascending, as the loader demands.
     results = (
+        CheckResult("100%", {"%s": 6, "%%d": 7}, None, None, None, False, True),
+        CheckResult("no params", {}, Fraction(-7, 4), Fraction(0), Fraction(-7, 4), False),
         CheckResult('x"%s', {'a"b': 1, "c\\d": -2, "p": 3}, Fraction(1, 2), Fraction(1, 3),
                     Fraction(1, 6), False),
         CheckResult("\u00e9\\%", {"\u00e9": 4, "e%f": 5}, Fraction(2), Fraction(2), Fraction(0),
                     True),
-        CheckResult("100%", {"%s": 6, "%%d": 7}, None, None, None, False, True),
-        CheckResult("no params", {}, Fraction(-7, 4), Fraction(0), Fraction(-7, 4), False),
     )
     summary = {'x"%s': {"pass": 0, "fail": 1, "skip": 0},
                "\u00e9\\%": {"pass": 1, "fail": 0, "skip": 0},
@@ -372,6 +381,47 @@ def test_report_from_json_rejects_a_summary_that_does_not_tally_the_entries(summ
     assert format_report_text(loaded).endswith("\n1 failing instances\n")
     with pytest.raises(ValueError, match=re.escape(f"summary of {check_id!r}")):
         report_from_json(_report_text(entries, summary))
+
+
+def _thm9_entry(p, h, k):
+    return {**_ENTRY, "id": "thm9", "params": {"p": p, "h": h, "k": k}}
+
+
+@pytest.mark.parametrize("entries, fault", [
+    ([_thm9_entry(3, 1, 1), _ENTRY], "it is out of sweep order"),
+    # thm9's param_names are (p, h, k): (3, 1, 5) comes before (3, 3, 1).
+    ([_thm9_entry(3, 3, 1), _thm9_entry(3, 1, 5)], "it is out of sweep order"),
+    ([_thm9_entry(3, 1, 5), _thm9_entry(3, 1, 5)], "it repeats an earlier entry"),
+    ([{**_ENTRY, "id": "x"}, {**_ENTRY, "id": "x", "params": {"l": 1, "n": 2}}],
+     "it repeats an earlier entry"),
+    ([_thm9_entry(3, 1, 1), {**_ENTRY, "id": "thm9", "params": {"p": 3, "h": 1}}],
+     "its param names differ from its id's first entry"),
+], ids=["ids-descending", "params-descending", "repeat", "repeat-unknown-id", "other-names"])
+def test_report_from_json_rejects_entries_out_of_sweep_order(entries, fault):
+    # The same entries in sweep's order load; an id the registry does not
+    # know keeps the order its entries come in.
+    ordered = [_ENTRY, _thm9_entry(3, 1, 5), _thm9_entry(3, 3, 1),
+               {**_ENTRY, "id": "x", "params": {"n": 3, "l": 0}}, {**_ENTRY, "id": "x"}]
+    assert len(report_from_json(_report_text(ordered)).results) == 5
+    with pytest.raises(ValueError, match=re.escape(f"result 1 ({entries[1]['id']!r}): {fault}")):
+        report_from_json(_report_text(entries))
+
+
+def _values(first, top):
+    return st.lists(st.integers(first, top), unique=True, max_size=4).map(tuple)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ids=st.lists(st.sampled_from(registry_ids()), unique=True, max_size=5),
+       grid=st.builds(ParamGrid, p_values=_values(1, 7), h_values=_values(1, 8),
+                      k_values=_values(1, 8), n_values=_values(1, 6), l_values=_values(0, 5),
+                      m_values=_values(1, 8), s_values=_values(2, 8), odd_only=st.booleans(),
+                      coprime_only=st.booleans()))
+@example(ids=["dedekind_recip", "eq10", "thm8_poly", "thm9"],
+         grid=ParamGrid(p_values=(2, 3), h_values=(4, 1, 2), k_values=(2, 3, 6)))
+def test_json_reports_round_trip(ids, grid):
+    report = sweep(ids, grid)
+    assert report_from_json(report_to_json(report)) == report
 
 
 def test_report_to_csv_rejects_params_it_has_no_column_for():
@@ -437,7 +487,7 @@ def test_rows_take_their_params_positionally():
 
 def test_hk_symmetric_sides_are_symmetric_as_written():
     declared = {check_id: get_check(check_id).hk_symmetric for check_id in _hk_symmetric_ids()}
-    assert declared == {"dedekind_recip": ("lhs", "rhs"), "thm7": ("lhs",),
+    assert declared == {"dedekind_recip": ("lhs", "rhs"), "eq10": ("lhs",), "thm7": ("lhs",),
                         "thm8_periodic": ("lhs", "rhs"), "thm8_poly": ("lhs", "rhs"),
                         "thm9": ("lhs",)}
     # A side function that several rows share is declared alike on each, so
@@ -545,6 +595,22 @@ def test_sweep_shares_a_side_across_checks_that_are_not_adjacent(monkeypatch):
         assert live["eq11"] and (1, 1) in live["cor4"] & live["prop5"] - live["thm6"]
         shared = live["cor4"] | live["prop5"] | live["thm6"]
         assert Counter(calls) == {(p, 1, m): 1 for p, m in shared}
+
+
+def test_sweep_evaluates_eq10_left_side_once_per_unordered_pair(monkeypatch):
+    calls = []
+    eq10 = get_check("eq10")
+
+    def counted_lhs(p, h, k):
+        calls.append((p, h, k))
+        return eq10.lhs(p, h, k)
+
+    monkeypatch.setitem(audit.REGISTRY, "eq10", dataclasses.replace(eq10, lhs=counted_lhs))
+    report = sweep(registry_ids(), standard_audit_grid())
+    live = [tuple(r.params.values()) for r in report.results if r.id == "eq10" and not r.skipped]
+    # E_p((h^2 + k^2)/(hk)) once per (p, {h, k}): 75 of the 147 live tuples.
+    assert len(live) == 147 and len(calls) == 75
+    assert calls == sorted({(p, min(h, k), max(h, k)) for p, h, k in live})
 
 
 def test_sweep_rejects_non_integer_grid_values():

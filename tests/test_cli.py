@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dcsums import ParamGrid, cli, report_from_json
@@ -297,6 +298,20 @@ def test_audit_checks_out_path_before_sweeping(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "audit", "--out", str(existing))
     assert code == 2 and err == "error: sweep failed\n"
     assert existing.read_text(encoding="utf-8") == "old report\n"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_audit_read_only_out_file_exits_2_before_sweeping(tmp_path, capsys, monkeypatch):
+    def sweep_must_not_run(*args, **kwargs):
+        raise AssertionError("sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli.audit, "sweep", sweep_must_not_run)
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old report\n")
+    target.chmod(0o444)
+    code, out, err = run_cli(capsys, "audit", "--format", "json", "--out", str(target))
+    assert (code, out) == (2, "") and err == f"error: cannot write report to {str(target)!r}\n"
+    assert target.read_bytes() == b"old report\n"
 
 
 def test_audit_grid_defaults_come_from_from_maxima(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import re
 from collections import Counter
 
+import mutants
 from mutants import MUTANTS, ROOT
 
 
@@ -25,3 +26,18 @@ def test_each_named_test_exists():
             path, name = node.split("::")
             source = (ROOT / path).read_text(encoding="utf-8")
             assert re.search(rf"^def {name}\(", source, re.M), (m.id, node)
+
+
+def test_a_root_equivalent_row_is_run_unless_the_runner_is_root(tmp_path, monkeypatch):
+    assert [m.id for m in MUTANTS if m.root_equivalent] == ["out-read-only"]
+    (row,) = [m for m in MUTANTS if m.root_equivalent]
+    path = tmp_path / row.file
+    path.parent.mkdir(parents=True)
+    path.write_text((ROOT / row.file).read_text(encoding="utf-8"), encoding="utf-8")
+    runs = []
+    monkeypatch.setattr(mutants, "_pytest", lambda tree, tests: runs.append(tests) or 1)
+    monkeypatch.setattr(mutants.os, "geteuid", lambda: 0)
+    assert mutants._verdict(tmp_path, row) == mutants.EQUIVALENT_AS_ROOT and runs == []
+    monkeypatch.setattr(mutants.os, "geteuid", lambda: 1000)
+    assert mutants._verdict(tmp_path, row) == "killed" and runs == [row.tests]
+    assert path.read_text(encoding="utf-8") == (ROOT / row.file).read_text(encoding="utf-8")
