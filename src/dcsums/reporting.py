@@ -4,10 +4,10 @@ Rationals travel as canonical strings (``"13/54"``), never floats.  JSON
 serialization is byte-deterministic: the layout of ``json.dumps(...,
 sort_keys=True, indent=2)``, which ``report_to_json`` writes directly, from
 one ``%`` template per run of results sharing an id and param names, with
-the id and names through ``json``.  ``report_from_json(report_to_json(r))``
-reproduces the report field for field, and the loader rejects an entry that
-breaks the ``CheckResult`` invariant or ``sweep``'s order, and a summary
-that does not tally the entries.
+the id and names through ``json``.  ``report_from_json`` loads only what
+``sweep`` can write, in one pass over the entries, each checked against its
+registry row: ``report_from_json(report_to_json(r))`` reproduces the report
+field for field, param order included, and writes the same bytes.
 Skipped entries carry null lhs/rhs/residual — no value exists for them.
 CSV rows mirror the JSON results one to one, in order.
 """
@@ -85,76 +85,96 @@ def _fault(r: CheckResult) -> str | None:
     return None
 
 
-def _loaded_result(index: int, entry: dict) -> CheckResult:
-    result = CheckResult(entry["id"], {name: int(v) for name, v in entry["params"].items()},
-                         *[None if entry[key] is None else parse_rational(entry[key])
-                           for key in ("lhs", "rhs", "residual")],
-                         bool(entry["holds"]), bool(entry["skipped"]))
-    fault = _fault(result)
+_FIELDS = {*CheckResult._fields}  # the seven keys of an entry
+_TOP = {"grid": dict, "results": list, "summary": dict}
+
+
+def _loaded(entry, last: tuple) -> tuple[CheckResult, tuple]:
+    """``entry`` as a result, and its sweep-order key, which must ascend from ``last``.
+
+    ValueError gives the first rule of ``report_from_json`` that ``entry`` breaks.
+    """
+    if not isinstance(entry, dict) or entry.keys() != _FIELDS:
+        raise ValueError(f"it is not an object with the keys {sorted(_FIELDS)}")
+    row = REGISTRY.get(entry["id"]) if isinstance(entry["id"], str) else None
+    if row is None:
+        raise ValueError("its id is not a registry check")
+    params, values = entry["params"], [entry[key] for key in ("lhs", "rhs", "residual")]
+    if not isinstance(params, dict) or params.keys() != {*row.param_names}:
+        raise ValueError(f"its params are not {row.param_names}")
+    if {*map(type, params.values())} != {int}:
+        raise ValueError("a param is not an integer")
+    if {*map(type, values)} - {str, type(None)}:
+        raise ValueError("lhs, rhs or residual is neither null nor a string")
+    if {type(entry["holds"]), type(entry["skipped"])} != {bool}:
+        raise ValueError("holds or skipped is not a boolean")
+    r = CheckResult(entry["id"], {name: params[name] for name in row.param_names},
+                    *[v if v is None else parse_rational(v) for v in values],
+                    entry["holds"], entry["skipped"])
+    key = (r.id, *r.params.values())
+    fault = _fault(r) or ("it repeats an earlier entry" if key == last
+                          else "it is out of sweep order" if key < last else None)
     if fault:
-        raise ValueError(f"result {index} ({result.id!r}): {fault}")
-    return result
-
-
-def _check_order(results: tuple[CheckResult, ...]) -> None:
-    """The order rules of ``report_from_json``: ValueError at the first result breaking one."""
-    names, seen, last = {}, set(), ()
-    for i, r in enumerate(results):
-        order = REGISTRY[r.id].param_names if r.id in REGISTRY else ()
-        place = (r.id, *[r.params[name] for name in order if name in r.params])
-        key = (r.id, *sorted(r.params.items()))
-        fault = ("its param names differ from its id's first entry"
-                 if r.params.keys() != names.setdefault(r.id, r.params.keys())
-                 else "it repeats an earlier entry" if key in seen
-                 else "it is out of sweep order" if place < last else None)
-        if fault:
-            raise ValueError(f"result {i} ({r.id!r}): {fault}")
-        seen.add(key)
-        last = place
+        raise ValueError(fault)
+    return r, key
 
 
 def report_from_json(text: str) -> AuditReport:
-    """The report ``report_to_json`` wrote.
+    """The report ``report_to_json`` wrote, with each param dict in its row's order.
 
-    Each entry must keep the ``CheckResult`` invariant: a skipped entry has
-    null lhs, rhs and residual and does not hold; an evaluated one has all
-    three, its residual is lhs - rhs, and it holds iff that is 0.  An entry
-    that breaks it raises ValueError naming its index and id.
+    The top level is an object with an object ``grid`` (its content is not
+    checked), a list ``results`` and an object ``summary``; otherwise
+    ValueError.
 
-    The entries must come in the order ``sweep`` writes: ids ascending and,
-    within an id the registry knows, params ascending in that row's
-    ``param_names`` order; no entry repeats an earlier (id, params), and
-    one id's entries share one set of param names.  The first entry that
-    breaks this raises ValueError naming its index and id.
+    Each entry, in one pass, must be an object with exactly the seven keys
+    ``sweep`` writes; its id must be a ``REGISTRY`` row's, and its params
+    that row's ``param_names`` with JSON integer values (``true`` and
+    ``false`` are no integers); lhs, rhs and residual are null or rational
+    literals, holds and skipped JSON booleans.  It must keep the
+    ``CheckResult`` invariant: a skipped entry has null lhs, rhs and
+    residual and does not hold; an evaluated one has all three, its
+    residual is lhs - rhs, and it holds iff that is 0.  And it must come in
+    sweep order: its key, the id and then the param values in row order,
+    strictly above the previous entry's.  The first entry that breaks a
+    rule raises ValueError naming its index, its id where it has one, and
+    the rule.
 
     The summary must tally the entries: every entry's id is in it, and each
-    id's pass/fail/skip counts its entries (all zeros for an id without
-    any, as ``sweep`` writes).  Otherwise ValueError names the first id, in
-    entry order and then summary order, whose tally is wrong.
+    id's value is exactly ``pass``, ``fail`` and ``skip``, JSON integers
+    counting its entries (all zeros for an id without any, as ``sweep``
+    writes).  Otherwise ValueError names the first id, in entry order and
+    then summary order, whose tally is wrong.
     """
     data = json.loads(text)
-    results = tuple(_loaded_result(i, entry) for i, entry in enumerate(data["results"]))
-    _check_order(results)
-    summary = {
-        check_id: {k: int(v) for k, v in counts.items()}
-        for check_id, counts in data["summary"].items()
-    }
+    if not isinstance(data, dict) or {k: type(v) for k, v in data.items()} != _TOP:
+        raise ValueError("a report is an object of an object grid, a list results "
+                         "and an object summary")
+    results, key = [], ()
+    for i, entry in enumerate(data["results"]):
+        try:
+            r, key = _loaded(entry, key)
+        except ValueError as error:
+            check_id = entry.get("id") if isinstance(entry, dict) else None
+            where = "" if check_id is None else f" ({check_id!r})"
+            raise ValueError(f"result {i}{where}: {error}") from None
+        results.append(r)
+    summary = data["summary"]
     tally = {check_id: {"pass": 0, "fail": 0, "skip": 0}
              for check_id in [*(r.id for r in results), *summary]}
     for r in results:
         tally[r.id]["skip" if r.skipped else "pass" if r.holds else "fail"] += 1
     for check_id, counts in tally.items():
-        if summary.get(check_id) != counts:
+        if summary.get(check_id) != counts or {*map(type, summary[check_id].values())} != {int}:
             raise ValueError(f"summary of {check_id!r} is {summary.get(check_id)}, "
                              f"but its results count {counts}")
-    return AuditReport(grid=data["grid"], results=results, summary=summary)
+    return AuditReport(grid=data["grid"], results=tuple(results), summary=summary)
 
 
 def report_to_csv(report: AuditReport) -> str:
     """One row per result, with a column per grid parameter name.
 
-    A result with a param outside ``PARAM_NAMES`` (a loaded report can hold
-    one) raises ValueError naming it: it has no column to go in.
+    A result with a param outside ``PARAM_NAMES`` (a report built by hand
+    can hold one) raises ValueError naming it: it has no column to go in.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

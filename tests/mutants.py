@@ -53,6 +53,7 @@ _T_SUMS = "tests/test_sums.py::"
 _T_UMBRAL = "tests/test_umbral.py::"
 _LOADER = (_T_AUDIT + "test_report_from_json_rejects_entries_that_break_the_invariant",)
 _ORDER = (_T_AUDIT + "test_report_from_json_rejects_entries_out_of_sweep_order",)
+_TYPES = (_T_AUDIT + "test_report_from_json_takes_only_the_json_types_sweep_writes",)
 _TEXT = (_T_CLI + "test_audit_text_format",)
 EQUIVALENT_AS_ROOT = "equivalent as root"
 
@@ -117,8 +118,8 @@ MUTANTS = (
     Mutant("grid-coprime-filter", _AUDIT, "gcd(values[h], values[k]) == 1",
            "gcd(values[h], values[k]) <= 2",
            (_T_AUDIT + "test_coprime_filter_without_odd_only",)),
-    Mutant("loader-summary-ids-only", _REPORTING, "if summary.get(check_id) != counts:",
-           "if check_id not in summary:",
+    Mutant("loader-summary-ids-only", _REPORTING, "if summary.get(check_id) != counts or",
+           "if check_id not in summary or",
            (_T_AUDIT + "test_report_from_json_rejects_a_summary_that_does_not_tally_the_entries",)),
     # The centred Euler kernels.
     Mutant("centered-parity-check", "src/dcsums/appell.py", "if any(s[1 - d % 2::2]):",
@@ -193,11 +194,30 @@ MUTANTS = (
     Mutant("text-total", _REPORTING,
            'f"{total_fail} failing instances" if total_fail else "all checks hold"',
            '"all checks hold"', _TEXT),
-    # report_from_json's order rules, one each.
-    Mutant("loader-order", _REPORTING, "place < last", "place < ()", _ORDER),
-    Mutant("loader-repeat", _REPORTING, "key in seen", "key in ()", _ORDER),
-    Mutant("loader-names", _REPORTING,
-           "r.params.keys() != names.setdefault(r.id, r.params.keys())", "False", _ORDER),
+    # report_from_json's registry and order rules, one each.
+    Mutant("loader-unknown-id", _REPORTING, "if row is None:", "if False:", _ORDER),
+    Mutant("loader-params-not-the-rows", _REPORTING,
+           " or params.keys() != {*row.param_names}", "", _ORDER),
+    Mutant("loader-repeat", _REPORTING, "if key == last", "if False", _ORDER),
+    Mutant("loader-order", _REPORTING, "if key < last", "if key < ()", _ORDER),
+    Mutant("loader-params-json-order", _REPORTING,
+           "{name: params[name] for name in row.param_names}", "params",
+           (_T_AUDIT + "test_json_reports_round_trip",)),
+    # report_from_json's JSON type rules, one each.  A summary value's keys
+    # are the tally's comparison (loader-summary-ids-only).
+    Mutant("loader-top-level", _REPORTING,
+           "not isinstance(data, dict) or {k: type(v) for k, v in data.items()} != _TOP",
+           "False", _TYPES),
+    Mutant("loader-entry-keys", _REPORTING,
+           "not isinstance(entry, dict) or entry.keys() != _FIELDS", "False", _TYPES),
+    Mutant("loader-integer-params", _REPORTING, "if {*map(type, params.values())} != {int}:",
+           "if False:", _TYPES),
+    Mutant("loader-value-types", _REPORTING, "if {*map(type, values)} - {str, type(None)}:",
+           "if False:", _TYPES),
+    Mutant("loader-boolean-flags", _REPORTING,
+           'if {type(entry["holds"]), type(entry["skipped"])} != {bool}:', "if False:", _TYPES),
+    Mutant("loader-integer-counts", _REPORTING,
+           " or {*map(type, summary[check_id].values())} != {int}", "", _TYPES),
 )
 
 

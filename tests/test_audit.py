@@ -12,7 +12,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dcsums import (
     AuditReport,
@@ -309,9 +309,9 @@ def test_report_to_json_matches_the_json_encoder():
 
 
 def test_loaded_reports_write_ids_and_names_through_json():
-    # report_from_json takes any id and param name; the writer's templates
-    # must escape them as json does, and keep a literal % out of formatting.
-    # In sweep's order, ids ascending, as the loader demands.
+    # AuditReport is public, so a report built by hand can hold any id and
+    # param name; the writer's templates must escape them as json does, and
+    # keep a literal % out of formatting.  The loader takes registry ids only.
     results = (
         CheckResult("100%", {"%s": 6, "%%d": 7}, None, None, None, False, True),
         CheckResult("no params", {}, Fraction(-7, 4), Fraction(0), Fraction(-7, 4), False),
@@ -325,10 +325,9 @@ def test_loaded_reports_write_ids_and_names_through_json():
                "100%": {"pass": 0, "fail": 0, "skip": 1},
                "no params": {"pass": 0, "fail": 1, "skip": 0}}
     report = AuditReport(grid={"h%": [1]}, results=results, summary=summary)
-    text = _reference_json(report)
-    loaded = report_from_json(text)
-    assert loaded.results == results
-    assert report_to_json(loaded) == _reference_json(loaded) == text
+    assert report_to_json(report) == _reference_json(report)
+    with pytest.raises(ValueError, match=re.escape("result 0 ('100%'): its id is not a registry")):
+        report_from_json(report_to_json(report))
 
 
 _ENTRY = {"id": "eq7_printed", "params": {"n": 2, "l": 1}, "lhs": "1/2", "rhs": "0",
@@ -346,6 +345,10 @@ def _report_text(entries, summary=None):
     return json.dumps({"grid": {}, "results": list(entries), "summary": summary})
 
 
+def _thm9_entry(p, h, k):
+    return {**_ENTRY, "id": "thm9", "params": {"p": p, "h": h, "k": k}}
+
+
 @pytest.mark.parametrize("change, fault", [
     ({"skipped": True, "holds": True}, "a skipped entry has a value"),
     ({**_NO_VALUES, "skipped": True, "lhs": "1/2"}, "a skipped entry has a value"),
@@ -360,7 +363,7 @@ def _report_text(entries, summary=None):
 def test_report_from_json_rejects_entries_that_break_the_invariant(change, fault):
     assert report_from_json(_report_text([_ENTRY])).results[0].residual == Fraction(1, 2)
     with pytest.raises(ValueError, match=re.escape(f"result 1 ('thm9'): {fault}")):
-        report_from_json(_report_text([_ENTRY, {**_ENTRY, "id": "thm9", **change}]))
+        report_from_json(_report_text([_ENTRY, {**_thm9_entry(3, 1, 1), **change}]))
 
 
 _TALLY = {"pass": 0, "fail": 1, "skip": 0}
@@ -374,7 +377,7 @@ _TALLY = {"pass": 0, "fail": 1, "skip": 0}
     ({"thm9": _TALLY, "cor4": {"pass": 0, "fail": 0, "skip": 1}}, "cor4"),
 ], ids=["fail-summed-as-pass", "id-missing", "extra-count", "counts-without-entries"])
 def test_report_from_json_rejects_a_summary_that_does_not_tally_the_entries(summary, check_id):
-    entries = [{**_ENTRY, "id": "thm9", "params": {"p": 3, "h": 1, "k": 1}}]
+    entries = [_thm9_entry(3, 1, 1)]
     # An id with no entries has all zeros, as sweep writes it.
     loaded = report_from_json(_report_text(entries, {
         "thm9": _TALLY, "cor4": {"pass": 0, "fail": 0, "skip": 0}}))
@@ -383,28 +386,63 @@ def test_report_from_json_rejects_a_summary_that_does_not_tally_the_entries(summ
         report_from_json(_report_text(entries, summary))
 
 
-def _thm9_entry(p, h, k):
-    return {**_ENTRY, "id": "thm9", "params": {"p": p, "h": h, "k": k}}
-
-
 @pytest.mark.parametrize("entries, fault", [
     ([_thm9_entry(3, 1, 1), _ENTRY], "it is out of sweep order"),
     # thm9's param_names are (p, h, k): (3, 1, 5) comes before (3, 3, 1).
     ([_thm9_entry(3, 3, 1), _thm9_entry(3, 1, 5)], "it is out of sweep order"),
     ([_thm9_entry(3, 1, 5), _thm9_entry(3, 1, 5)], "it repeats an earlier entry"),
-    ([{**_ENTRY, "id": "x"}, {**_ENTRY, "id": "x", "params": {"l": 1, "n": 2}}],
-     "it repeats an earlier entry"),
+    ([_ENTRY, {**_ENTRY, "id": "x"}], "its id is not a registry check"),
     ([_thm9_entry(3, 1, 1), {**_ENTRY, "id": "thm9", "params": {"p": 3, "h": 1}}],
-     "its param names differ from its id's first entry"),
-], ids=["ids-descending", "params-descending", "repeat", "repeat-unknown-id", "other-names"])
+     "its params are not ('p', 'h', 'k')"),
+], ids=["ids-descending", "params-descending", "repeat", "unknown-id", "other-names"])
 def test_report_from_json_rejects_entries_out_of_sweep_order(entries, fault):
-    # The same entries in sweep's order load; an id the registry does not
-    # know keeps the order its entries come in.
-    ordered = [_ENTRY, _thm9_entry(3, 1, 5), _thm9_entry(3, 3, 1),
-               {**_ENTRY, "id": "x", "params": {"n": 3, "l": 0}}, {**_ENTRY, "id": "x"}]
-    assert len(report_from_json(_report_text(ordered)).results) == 5
+    # The same entries in sweep's order load.
+    ordered = [_ENTRY, _thm9_entry(3, 1, 5), _thm9_entry(3, 3, 1)]
+    assert len(report_from_json(_report_text(ordered)).results) == 3
     with pytest.raises(ValueError, match=re.escape(f"result 1 ({entries[1]['id']!r}): {fault}")):
         report_from_json(_report_text(entries))
+
+
+_NOT_A_REPORT = "a report is an object of an object grid"
+_NOT_AN_ENTRY = "it is not an object with the keys"
+_EQ7 = "result 0 ('eq7_printed'): "
+_EQ7_SUMMARY = "summary of 'eq7_printed'"
+
+
+@pytest.mark.parametrize("data, fault", [
+    ([], _NOT_A_REPORT),
+    ({"grid": {}, "summary": {}}, _NOT_A_REPORT),
+    ({"grid": [], "results": [], "summary": {}}, _NOT_A_REPORT),
+    ({"grid": {}, "results": {}, "summary": {}}, _NOT_A_REPORT),
+    ({"grid": {}, "results": [], "summary": []}, _NOT_A_REPORT),
+    ({"grid": {}, "results": [[]], "summary": {}}, "result 0: " + _NOT_AN_ENTRY),
+    ({"results": [{k: v for k, v in _ENTRY.items() if k != "id"}]}, "result 0: " + _NOT_AN_ENTRY),
+    ({"results": [{**_ENTRY, "note": ""}]}, _EQ7 + _NOT_AN_ENTRY),
+    ({"results": [_thm9_entry(3.7, 1, 1)], "summary": {"thm9": _TALLY}},
+     "result 0 ('thm9'): a param is not an integer"),
+    ({"results": [{**_ENTRY, "params": {"n": 2, "l": True}}]}, _EQ7 + "a param is not"),
+    ({"results": [{**_ENTRY, "lhs": 0.5}]}, _EQ7 + "lhs, rhs or residual is neither"),
+    ({"results": [{**_ENTRY, "residual": "x"}]}, _EQ7 + "not a rational literal"),
+    ({"results": [{**_ENTRY, "lhs": "0", "residual": "0", "holds": "false"}],
+      "summary": {"eq7_printed": {"pass": 1, "fail": 0, "skip": 0}}},
+     _EQ7 + "holds or skipped is not a boolean"),
+    ({"results": [{**_ENTRY, "skipped": 0}]}, _EQ7 + "holds or skipped is not a boolean"),
+    ({"summary": {"eq7_printed": {"pass": 0.5, "fail": 1, "skip": 0}}}, _EQ7_SUMMARY),
+    ({"summary": {"eq7_printed": {"pass": 0, "fail": True, "skip": 0}}}, _EQ7_SUMMARY),
+    ({"summary": {"eq7_printed": [0, 1, 0]}}, _EQ7_SUMMARY),
+], ids=["top-list", "no-results", "grid-list", "results-object", "summary-list",
+        "entry-list", "entry-without-id", "entry-extra-key", "param-float", "param-bool",
+        "lhs-number", "residual-not-a-literal", "holds-string", "skipped-number",
+        "count-float", "count-bool", "summary-value-list"])
+def test_report_from_json_takes_only_the_json_types_sweep_writes(data, fault):
+    # A dict case without a grid overrides keys of a valid one-entry report,
+    # whose summary tallies its entry; every other case is the whole report.
+    valid = {"grid": {}, "results": [_ENTRY], "summary": {"eq7_printed": _TALLY}}
+    assert report_from_json(json.dumps(valid)).results[0].params == {"n": 2, "l": 1}
+    if isinstance(data, dict) and "grid" not in data:
+        data = {**valid, **data}
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        report_from_json(json.dumps(data))
 
 
 def _values(first, top):
@@ -419,9 +457,41 @@ def _values(first, top):
                       coprime_only=st.booleans()))
 @example(ids=["dedekind_recip", "eq10", "thm8_poly", "thm9"],
          grid=ParamGrid(p_values=(2, 3), h_values=(4, 1, 2), k_values=(2, 3, 6)))
+@example(ids=registry_ids(), grid=standard_audit_grid())
 def test_json_reports_round_trip(ids, grid):
     report = sweep(ids, grid)
-    assert report_from_json(report_to_json(report)) == report
+    text = report_to_json(report)
+    loaded = report_from_json(text)
+    assert loaded == report
+    assert [list(r.params) for r in loaded.results] == [list(r.params) for r in report.results]
+    assert format_report_text(loaded) == format_report_text(report)
+    assert report_to_csv(loaded) == report_to_csv(report)
+    assert report_to_json(loaded) == text
+
+
+_DELETE = object()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), new=st.sampled_from([None, True, 1.5, "x", [], {}, _DELETE]))
+def test_a_malformed_report_raises_value_error_only(data, new):
+    # One value of a valid report (with passing, failing and skipped
+    # entries) replaced by one of another JSON type, or one key deleted.
+    grid = ParamGrid(p_values=(2, 3), h_values=(1, 2), k_values=(1,))
+    report = json.loads(report_to_json(sweep(["dedekind_recip", "thm9"], grid)))
+    places = [(report, key) for key in report]
+    for entry in report["results"]:
+        places += [(entry, key) for key in entry] + [(entry["params"], k) for k in entry["params"]]
+    for counts in report["summary"].values():
+        places += [(counts, key) for key in counts]
+    node, key = data.draw(st.sampled_from(places))
+    if new is _DELETE:
+        del node[key]
+    else:
+        assume(type(new) is not type(node[key]))
+        node[key] = new
+    with pytest.raises(ValueError):
+        report_from_json(json.dumps(report))
 
 
 def test_report_to_csv_rejects_params_it_has_no_column_for():
