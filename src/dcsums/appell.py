@@ -10,10 +10,12 @@ the second from E_(n-1)(0) = -2 (2^n - 1) B_n / n (Abramowitz & Stegun
 those numbers, E_n(x) = sum_l C(n,l) E_l x^(n-l), evaluated on integers by
 ``Poly.scaled`` plus ``_horner`` (``Poly.ratio`` and ``Poly.eval`` included).
 ``Poly.centered`` is the same integer form about x = 1/2, for polynomials
-with P(1 - x) = (-1)^n P(x), E_n and B_n among them: it costs about half
-the Horner steps of ``scaled``, and serves the DC-sum kernels, which read
-E_p at many residues of one modulus.  ``scaled`` serves every other
-polynomial and every caller that reads the plain value at n/m.
+with P(1 - x) = (-1)^n P(x), E_n and B_n among them: a polynomial Q in
+y^2 with about half the coefficients of ``scaled``.  It serves the DC-sum
+kernels, which read E_p at many residues of one modulus and dot Q's
+coefficients with the power moments of those points (``moments``).
+``scaled`` serves every other polynomial and every caller that reads the
+plain value at n/m.
 An independent path, truncated power-series division of the generating
 functions 2e^{xt}/(e^t+1) and t e^{xt}/(e^t-1), lives in
 ``tests/oracles.py``; the tests and a demo use it to cross-check this one.
@@ -57,8 +59,10 @@ class Poly:
 
     an integer Taylor shift.  If P(1 - x) = (-1)^d P(x), as for E_d and B_d,
     only the s_i with i = d (mod 2) are nonzero, so the value is
-    y^(d mod 2) Q(y^2): ``centered`` gives the Horner coefficients of Q, and
+    y^(d mod 2) Q(y^2): ``centered`` gives the Horner coefficients of Q.
     ``_horner`` runs them at y*y with about half the steps of ``scaled``.
+    Over many points the DC-sum kernels instead dot the vector, reversed,
+    with the moments sum w y^(d%2) y^(2i) of their weighted points.
     """
 
     __slots__ = ("coeffs", "den", "num", "_halves")

@@ -30,6 +30,7 @@ from math import comb, gcd, lcm
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .appell import Poly, _euler_ints, _horner, euler_number, euler_poly, poly_integral
+from .moments import _kept_in
 from .rationals import Rational
 from .sums import _dc_line, alt_power_sum, dc_sum, dedekind_sum, theorem8_rhs
 from .umbral import (_euler_pairs, _pair_sum, _shifted_euler_power, _umbral, lattice_power_sum,
@@ -233,9 +234,14 @@ def _dc_split_sum_rhs(p: int, m: int) -> Fraction:
     return _plus_euler_number(_umbral(p, _euler_pairs(p), b), p + 1, p)
 
 
+def _alternating(u: int, j: int) -> int:
+    """thm7's weight (-1)^u: one object, so a sweep keeps one moment vector per (h, k)."""
+    return -1 if u % 2 else 1
+
+
 def _mixed_double_rhs(p: int, h: int, k: int) -> Fraction:
     """k^p sum_u (-1)^u sum_s C(p,s) h^s E_s(u/k) E_(p-s)(h - floor(hu/k)), as printed."""
-    return Fraction(*lattice_power_sum(p, h, k, lambda u, j: -1 if u % 2 else 1))
+    return Fraction(*lattice_power_sum(p, h, k, _alternating))
 
 
 def _addition_lhs(p: int, h: int, k: int) -> Fraction:
@@ -473,23 +479,28 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     and a side named in ``hk_symmetric`` at the (h, k) mirror of an earlier
     tuple.  Such a side keeps every value it computes until the call
     returns, and nothing is kept between sweeps; every result equals what
-    ``run_check`` gives.
+    ``run_check`` gives.  For the length of the call the kernels keep their
+    moment vectors in the same table (``moments._kept_in``), each taken on
+    its first walk as far as the grid's largest p needs, so the DC lines
+    and lattices of one (h, k) are walked once for every p of the grid.
     """
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate check ids in {list(ids)}")
     walk = sorted(map(get_check, ids), key=operator.attrgetter("id"))
     uses = Counter(side for check in walk for side in (check.lhs, check.rhs))
-    table: dict[Callable[..., Rational], dict[tuple[int, ...], Rational]] = {}
+    table: dict = {}  # side -> {params: value}, and the kernels' moment vectors
     results: list[CheckResult] = []
     summary: dict[str, dict[str, int]] = dict.fromkeys(ids)
-    for check in walk:
-        lhs, rhs = (
-            _tabled(check, name, table.setdefault(side, {}))
-            if uses[side] > 1 or name in check.hk_symmetric else side
-            for name, side in (("lhs", check.lhs), ("rhs", check.rhs))
-        )
-        block = [_evaluate(check, values, lhs, rhs) for values in grid._walk(check.param_names)]
-        held, skip = sum([r.holds for r in block]), sum([r.skipped for r in block])
-        summary[check.id] = {"pass": held, "fail": len(block) - held - skip, "skip": skip}
-        results += block
+    with _kept_in(table, max(grid.p_values, default=0)):
+        for check in walk:
+            lhs, rhs = (
+                _tabled(check, name, table.setdefault(side, {}))
+                if uses[side] > 1 or name in check.hk_symmetric else side
+                for name, side in (("lhs", check.lhs), ("rhs", check.rhs))
+            )
+            block = [_evaluate(check, values, lhs, rhs)
+                     for values in grid._walk(check.param_names)]
+            held, skip = sum([r.holds for r in block]), sum([r.skipped for r in block])
+            summary[check.id] = {"pass": held, "fail": len(block) - held - skip, "skip": skip}
+            results += block
     return AuditReport(grid=grid.description(), results=tuple(results), summary=summary)

@@ -6,15 +6,14 @@ defining summation gives.  The direct definitions live, term by term in
 this module and re-checks it.  Here every summand is scaled onto one common
 denominator, so a sum accumulates Python ints and builds a single
 ``Fraction`` at the end.  The scaling is an integer form of ``Poly`` (see
-its docstring), run by ``appell._horner``, with D = ``P.den``:
+its docstring), with D = ``P.den``:
 
 - ``gen_dedekind_sum`` reads B_p through ``P.scaled(m)``, the Horner
   coefficients of r -> m^p D P(r/m).  At p = 1, which S(h,k) is, the
   centred form measured slower: forming y and y^2 costs more than the one
   Horner step it saves.
 - The DC sums read E_p through ``P.centered(m)``: at y = 2r - m,
-  (2m)^p D E_p(r/m) = y^(p%2) Q(y^2), about half the Horner steps.  Their
-  denominators carry the 2^p.
+  (2m)^p D E_p(r/m) = y^(p%2) Q(y^2).  Their denominators carry the 2^p.
 
 Each sum pairs its terms by a reflection x -> 1 - x of the residues, with
 E_p(1 - x) = (-1)^p E_p(x) and B_p(1 - x) = (-1)^p B_p(x), so one
@@ -24,7 +23,7 @@ gives the sign (-1)^p.
 
 - ``gen_dedekind_sum``: a and k - a have residues r and k - r (never 0
   for coprime h, k); the weight is a + (-1)^p (k - a).
-- ``_signed_line`` (all of ``dc_sum``, and each edge of ``theorem8_rhs``):
+- ``_line_points`` (all of ``dc_sum``, and each edge of ``theorem8_rhs``):
   with count step = c modulus, j and count - j have residues r and
   modulus - r and quotients q and c - q - 1; the weight is
   j + (-1)^(count+c+1+p) (count - j).  At r = 0 (y = -modulus) the
@@ -34,11 +33,21 @@ gives the sign (-1)^p.
   a point with n < m (q = 0, r = n) to 2m - n (q = 1, r = m - n); the
   weight is n + (-1)^(h+k+1+p) (2m - n).  The plain form's partner value
   E_p(1 + z) = 2z^p - E_p(z), z = (m - n)/m, adds 2D (m - n)^p, or
-  2D (2m - 2n)^p on the centred scale.
+  2D (2m - 2n)^p on the centred scale: with the pair weight,
+  D (2m + z) z^p at z = 2m - 2n, a moment of the points z weighted 2m + z
+  (``_lift_points``).
 
 Summed directly are the terms the reflection fixes (the middle of an even
 count) and those it does not pair that way (residue 0, and n = m on the
-lattice, which only a non-coprime h, k reaches).
+lattice: the g - 1 points u = tk/g, 0 < t < g, of g = gcd(h, k) > 1,
+where both forms of F_p read -E_p(0) = E_p(1), as p >= 1).
+
+The DC kernels do not evaluate Q point by point.  A reflection pair of
+terms is a point x = y^2 with an integer weight w that holds the pair's
+sign and weight and y^(p%2), so a sum is sum_i q_i M_i over Q's
+coefficients q_i and the power moments M_i = sum w x^i of its points
+(``moments``).  The points depend on p only through p % 2, so inside a
+``sweep`` one moment vector per point set serves every p of the grid.
 
 The classical Dedekind sum S(h,k) is computed as its p = 1 member S_1(h,k).
 Coprimality is demanded only where the definition itself needs it; theorem
@@ -48,9 +57,14 @@ hypotheses are enforced by the audit registry, not here.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from operator import mul
+from typing import Iterator
 
 from .appell import _horner, bernoulli_poly, euler_poly
+from . import moments
+from .moments import _blocks, _dot, _moments, _reach
 from .rationals import Rational
 
 __all__ = ["dedekind_sum", "gen_dedekind_sum", "dc_sum", "alt_power_sum", "theorem8_rhs",
@@ -97,44 +111,55 @@ def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:
     return Fraction(total, poly.den * k ** (p + 1))
 
 
-def _signed_line(b: tuple[int, ...], p: int, step: int, modulus: int, count: int) -> int:
-    """sum_{j=1}^{count-1} (-1)^(j+q-1) j P(r), with q, r = divmod(j step, modulus).
+def _line_points(step: int, modulus: int, count: int, odd: int, scale: int = 1
+                 ) -> Iterator[tuple]:
+    """The points of the line sum_{j=1}^{count-1} (-1)^(j+q-1) j P(r).
 
-    P is E_p centred on the modulus (b = ``euler_poly(p).centered(modulus)``),
-    so P(r) = y^(p%2) Q(y^2) at y = 2r - modulus; count step is a multiple
-    of the modulus.
+    Here q, r = divmod(j step, modulus), P is E_p centred on the modulus,
+    odd = p % 2, and count step is a multiple of the modulus.  With
+    y = 2r - modulus, P(r) = y^odd Q(y^2), so a reflection pair is the
+    point x = y^2 with weight +-(j + flip (count - j)) y^odd, times ``scale``.
+    A piece holds at most ``_BLOCK`` pairs; the middle term of an even count
+    joins the last one.
     """
     c = count * step // modulus
-    odd = p % 2
-    flip = 1 if (count + c + p) % 2 else -1
+    flip = 1 if (count + c + odd) % 2 else -1
     flip_at_zero = -1 if (count + c) % 2 else 1
-    total = 0
-    for j in range(1, (count + 1) // 2):
-        q, r = divmod(j * step, modulus)
-        y = 2 * r - modulus
-        term = (j + (flip if r else flip_at_zero) * (count - j)) * _horner(b, y * y)
-        if odd:
-            term *= y
-        total += term if (j + q) % 2 else -term
+    half = (count + 1) // 2
+    ws: list[int] = []
+    xs: list[int] = []
+    for js in _blocks(1, half):
+        if ws:  # the block before is full
+            yield ws, xs
+            ws, xs = [], []
+        for j in js:
+            q, r = divmod(j * step, modulus)
+            y = 2 * r - modulus
+            w = (j + (flip if r else flip_at_zero) * (count - j)) * scale
+            if odd:
+                w *= y
+            ws.append(w if (j + q) % 2 else -w)
+            xs.append(y * y)
     if count % 2 == 0:  # j = count/2: r = 0 for even c, modulus/2 for odd c
         j, q = count // 2, c // 2
         y = 0 if c % 2 else -modulus
-        term = j * y**odd * _horner(b, y * y)
-        total += term if (j + q) % 2 else -term
-    return total
+        w = j * scale * y**odd
+        ws.append(w if (j + q) % 2 else -w)
+        xs.append(y * y)
+    yield ws, xs
 
 
 def _dc_line(p: int, h: int, k: int) -> int:
     """The integer S with T_p(h,k) = 2 S / (D k^(p+1) 2^p), D = ``euler_poly(p).den``.
 
-    S is ``_signed_line`` with step h and modulus and count k; ``dc_sum``
-    and the audit's reciprocity left side both build on it.
+    S is the line with step h and modulus and count k; ``dc_sum`` and the
+    audit's reciprocity left side both build on it.
     """
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     _require_positive("h", h)
     _require_positive("k", k)
-    return _signed_line(euler_poly(p).centered(k), p, h, k, k)
+    return _dot(p, euler_poly(p).centered(k), _line_points, h, k, k, p % 2)
 
 
 def dc_sum(p: int, h: int, k: int) -> Rational:
@@ -163,6 +188,60 @@ def alt_power_sum(n: int, l: int) -> Rational:
     return Fraction(2 * total)
 
 
+def _lattice_points(h: int, k: int, odd: int) -> Iterator[tuple]:
+    """The points of ``theorem8_rhs`` on the modulus m = hk: both edges, then the inside.
+
+    The points n = m, which only a non-coprime h, k has, are left out.
+    """
+    m = h * k
+    return chain(_line_points(k, m, h, odd, k), _line_points(h, m, k, odd, h),
+                 _inside_rows(h, k, odd))
+
+
+def _inside(h: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The inside points n = uh + vk < m, u in [1, k), v >= 1, as pieces (signs, ys).
+
+    Here signs holds (-1)^(u+v-1) and ys holds y = 2n - m.  A row u is cut
+    at ``_BLOCK`` points and the short rows are joined, so a piece holds
+    ``_BLOCK`` to 2 ``_BLOCK`` points, the last one fewer.
+    """
+    m = h * k
+    block = moments._BLOCK  # read per call, as ``_blocks`` reads it
+    alternate = [-1, 1] * (block // 2 + 1)
+    signs: list[int] = []
+    ys: list[int] = []
+    for u in range(1, k):
+        y0 = 2 * u * h - m  # y at v = 0
+        top = h - u * h // k  # v < top
+        for lo in range(1, top, block):
+            hi = min(lo + block, top)
+            signs += alternate[(u + lo) % 2:(u + lo) % 2 + hi - lo]
+            ys += range(y0 + 2 * k * lo, y0 + 2 * k * hi, 2 * k)
+            if len(ys) >= block:
+                yield signs, ys
+                signs, ys = [], []
+    yield signs, ys
+
+
+def _inside_rows(h: int, k: int, odd: int) -> Iterator[tuple]:
+    """The weights and x = y^2 of the inside points, piece by piece."""
+    m = h * k
+    # The pair weight n + flip (2m - n), at n = (y + m)/2: 2m, or y - m.
+    a, c = (2 * m, 0) if (h + k + odd) % 2 else (-m, 1)
+    for signs, ys in _inside(h, k):
+        ws = [a + c * y for y in ys]
+        if odd:
+            ws = list(map(mul, ws, ys))
+        yield list(map(mul, ws, signs)), list(map(mul, ys, ys))
+
+
+def _lift_points(h: int, k: int) -> Iterator[tuple]:
+    """The points z = m - y = 2(m - n) of the inside, weighted +-(2m + z) with the signs there."""
+    m = h * k
+    return (([s * (3 * m - y) for s, y in zip(signs, ys)], [m - y for y in ys])
+            for signs, ys in _inside(h, k))
+
+
 def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
     """Double sum 2(hk)^p sum_{u,v} (-1)^(u+v-1) ((uh+vk)/(hk)) F_p(u/k + v/h).
 
@@ -175,32 +254,26 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
     periodic form takes q, r = divmod(n, hk) and F_p(n/(hk)) = (-1)^q
     E_p(r/(hk)); the plain form takes q, r = 0, n.  Since (2hk)^p D
     E_p(r/(hk)) is the integer y^(p%2) Q(y^2) at y = 2r - hk, the double sum
-    is 2 sum_{u,v} (-1)^(u+v-1+q) n ((2hk)^p D E_p(r/(hk))) / (D hk 2^p).
+    is 2 sum_{u,v} (-1)^(u+v-1+q) n ((2hk)^p D E_p(r/(hk))) / (D hk 2^p):
+    the moments of ``_lattice_points``, the n = m terms, and in the plain
+    form the moments of ``_lift_points``.
     """
     _require_positive("p", p)
     _require_positive("h", h)
     _require_positive("k", k)
+    k, h = sorted((h, k))  # the sum is symmetric: walk the lattice in the fewest rows
     m = h * k
     odd = p % 2
     poly = euler_poly(p)
     b = poly.centered(m)
-    total = k * _signed_line(b, p, k, m, h) + h * _signed_line(b, p, h, m, k)
-    # The pair weight n + flip (2m - n), at n = (y + m)/2: 2m, or y - m.
-    a, c = (2 * m, 0) if (h + k + p) % 2 else (-m, 1)
-    lift = 0 if periodic else (-1 if (h + k) % 2 else 1) * poly.den
-    for u in range(1, k):
-        # y = 2n - m for n = uh + vk < m, v >= 1; uv = u + v
-        for uv, y in enumerate(range(2 * (u * h + k) - m, m, 2 * k), u + 1):
-            term = (a + c * y) * _horner(b, y * y)
-            if odd:
-                term *= y
-            if lift:  # 2D (2m - n) (2m - 2n)^p
-                term += lift * (3 * m - y) * (m - y) ** p
-            total += term if uv % 2 else -term
-        if u * h % k == 0:  # n = m at v = h - uh/k
-            q, r = (1, 0) if periodic else (0, m)
-            term = m * (2 * r - m) ** odd * _horner(b, m * m)
-            total += term if (u + h - u * h // k + q) % 2 else -term
+    total = _dot(p, b, _lattice_points, h, k, odd)
+    g = gcd(h, k)
+    if g > 1:  # n = m at u = tk/g, v = h - th/g, 0 < t < g: y = -m in both forms
+        signs = sum([(-1) ** ((h + t * (k - h) // g) % 2) for t in range(1, g)])
+        total += signs * m * (-m if odd else 1) * _horner(b, m * m)
+    if not periodic:  # 2D (2m - n) (2m - 2n)^p = D (2m + z) z^p
+        lift = _moments(_reach(p), _lift_points, h, k)[p]
+        total += (-1 if (h + k) % 2 else 1) * poly.den * lift
     return Fraction(2 * total, poly.den * m << p)
 
 

@@ -25,6 +25,9 @@ Z_i = sum_u w_u z_u^i,
 
     2^p sum_u w_u (khE + kE' + z_u)^p = sum_j C(p,j) 2^j (khE + kE')^j 2^(p-j) Z_(p-j).
 
+The Z_i are ``moments._moments`` of the points z_u, so inside a sweep one
+vector per (h, k, weight) serves every p.
+
 ``_shifted_euler_power`` sums thm6's and thm7's (E + x(E' + 1))^p over 2^p
 too: E_j(1), the coefficient sum of E_j(x), has a denominator dividing 2^j.
 """
@@ -33,10 +36,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .appell import _euler_ints, _horner, euler_poly
+from .moments import _blocks, _moments, _reach
 from .rationals import Rational, exact
 
 __all__ = ["umbral_power", "theorem9_rhs"]
@@ -125,20 +128,32 @@ def _shifted_euler_power(p: int, x: int) -> Pair:
     return total, 1 << p
 
 
+def _shift_points(h: int, k: int, weight: Callable[[int, int], int]) -> Iterator[tuple]:
+    """The points z_u = hu + k(h - j), weighted weight(u, j), j = floor(hu/k), u in [0, k)."""
+    for us in _blocks(0, k):
+        ws, zs = [], []
+        for u in us:
+            j = h * u // k
+            if w := weight(u, j):
+                ws.append(w)
+                zs.append(h * u + k * (h - j))
+        yield ws, zs
+
+
 def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Pair:
-    """Sum over u in [0, k) of weight(u, j) (kh(E + u/k) + k(E' + h - j))^p, j = floor(hu/k)."""
-    ws, zs = [], []
-    for u in range(k):
-        j = h * u // k
-        if w := weight(u, j):
-            ws.append(w)
-            zs.append(h * u + k * (h - j))
-    sums = [sum(ws)]
-    for _ in range(p):
-        ws = list(map(mul, ws, zs))
-        sums.append(sum(ws))
+    """Sum over u in [0, k) of weight(u, j) (kh(E + u/k) + k(E' + h - j))^p, j = floor(hu/k).
+
+    Inside a sweep the moments are kept per weight function, so a weight
+    must be one object for as long as it means one function of (u, j).
+    """
+    sums = _moments(_reach(p), _shift_points, h, k, weight)
     mixed = _euler_euler(p, k * h, k)
     return sum([comb(p, j) * mixed[j] * sums[p - j] << (p - j) for j in range(p + 1)]), 1 << p
+
+
+def _odd_shift(u: int, j: int) -> int:
+    """thm9's weight: one object, so a sweep keeps one moment vector per (h, k)."""
+    return (u - j) % 2
 
 
 def theorem9_rhs(p: int, h: int, k: int) -> Rational:
@@ -150,5 +165,5 @@ def theorem9_rhs(p: int, h: int, k: int) -> Rational:
         raise ValueError(f"h and k must be positive, got ({h}, {k})")
     if p < 1 or p % 2 == 0:
         raise ValueError(f"power must be odd and positive, got {p}")
-    odd, den = lattice_power_sum(p, h, k, lambda u, j: (u - j) % 2)
+    odd, den = lattice_power_sum(p, h, k, _odd_shift)
     return Fraction(2 * odd + (h**p + k**p + p + 2) * _euler_ints(p)[p], den)

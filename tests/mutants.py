@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 _AUDIT = "src/dcsums/audit.py"
+_MOMENTS = "src/dcsums/moments.py"
 _REPORTING = "src/dcsums/reporting.py"
 _SUMS = "src/dcsums/sums.py"
 _UMBRAL = "src/dcsums/umbral.py"
@@ -55,18 +56,19 @@ _LOADER = (_T_AUDIT + "test_report_from_json_rejects_entries_that_break_the_inva
 _ORDER = (_T_AUDIT + "test_report_from_json_rejects_entries_out_of_sweep_order",)
 _TYPES = (_T_AUDIT + "test_report_from_json_takes_only_the_json_types_sweep_writes",)
 _TEXT = (_T_CLI + "test_audit_text_format",)
+_SCOPE = _T_SUMS + "test_kernels_inside_one_scope_match_the_oracles"
 EQUIVALENT_AS_ROOT = "equivalent as root"
 
 MUTANTS = (
     # The sweep's side table.
     Mutant("table-outlives-sweep", _AUDIT,
-           "    table: dict[Callable[..., Rational], dict[tuple[int, ...], Rational]] = {}",
+           "    table: dict = {}",
            '    table = globals().setdefault("_TABLE", {})',
            (_T_AUDIT + "test_sweep_shares_each_side_across_checks_and_mirrors",
             _T_AUDIT + "test_sweep_evaluates_each_mirror_pair_once_per_call",
             _T_AUDIT + "test_sweep_shares_a_side_across_checks_that_are_not_adjacent")),
-    Mutant("table-cleared-per-check", _AUDIT, "        results += block\n",
-           "        results += block\n        table.clear()\n",
+    Mutant("table-cleared-per-check", _AUDIT, "            results += block\n",
+           "            results += block\n            table.clear()\n",
            (_T_AUDIT + "test_sweep_shares_a_side_across_checks_that_are_not_adjacent",
             _T_AUDIT + "test_sweep_shares_each_side_across_checks_and_mirrors")),
     Mutant("mirror-key-not-canonical", _AUDIT,
@@ -96,9 +98,10 @@ MUTANTS = (
     Mutant("euler-euler-even-j-bound", "src/dcsums/umbral.py",
            "for t in range(1, p - s + 1, 2):", "for t in range(1, p - s - 1, 2):",
            ("tests/test_umbral.py::test_euler_euler_matches_the_direct_double_sum",)),
-    Mutant("thm8-periodic-q", _SUMS,
-           "q, r = (1, 0) if periodic else (0, m)", "q, r = (0, 0) if periodic else (0, m)",
-           (_T_AUDIT + "test_hk_symmetric_sides_are_symmetric_as_written",)),
+    Mutant("lattice-lift-weight", _SUMS, "s * (3 * m - y)", "s * (2 * m - y)",
+           (_T_SUMS + "test_theorem8_rhs_matches_direct_oracle",)),
+    Mutant("lattice-n-equals-m-sign", _SUMS, "(-m if odd else 1)", "(m if odd else 1)",
+           (_T_SUMS + "test_theorem8_rhs_matches_direct_oracle",)),
     Mutant("tangent-recurrence", "src/dcsums/appell.py",
            "t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]",
            "t[j] = (j - k) * t[j - 1] + (j - k + 1) * t[j]",
@@ -127,9 +130,10 @@ MUTANTS = (
            ("tests/test_appell.py::test_centered_rejects_a_polynomial_without_the_reflection",)),
     Mutant("line-centre-sign", _SUMS, "y = 2 * r - modulus", "y = 2 * r + modulus",
            (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
-    Mutant("line-odd-factor", _SUMS, "        if odd:\n            term *= y\n", "",
+    Mutant("line-odd-factor", _SUMS, "            if odd:\n                w *= y\n", "",
            (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
-    Mutant("lattice-odd-factor", _SUMS, "            if odd:\n                term *= y\n", "",
+    Mutant("lattice-odd-factor", _SUMS,
+           "        if odd:\n            ws = list(map(mul, ws, ys))\n", "",
            (_T_SUMS + "test_theorem8_rhs_matches_direct_oracle",)),
     Mutant("dc-sum-scale", _SUMS, "euler_poly(p).den * k ** (p + 1) << p)",
            "euler_poly(p).den * k ** (p + 1))", (_T_SUMS + "test_dc_sum_golden_values",)),
@@ -140,7 +144,7 @@ MUTANTS = (
            (_T_SUMS + "test_dc_sum_property",)),
     Mutant("gen-dedekind-even-middle", _SUMS, "if k % 2 == 0:", "if False:",
            (_T_SUMS + "test_gen_dedekind_sum_property",)),
-    Mutant("lattice-n-equals-m", _SUMS, "if u * h % k == 0:", "if False:",
+    Mutant("lattice-n-equals-m", _SUMS, "if g > 1:", "if False:",
            (_T_SUMS + "test_theorem8_rhs_matches_direct_oracle",)),
     Mutant("line-sign-at-zero", _SUMS, "(flip if r else flip_at_zero)", "flip",
            (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
@@ -150,18 +154,41 @@ MUTANTS = (
            (_T_UMBRAL + "test_shifted_euler_power_matches_the_two_umbra_oracle",)),
     # The reflection pairing itself: a partner's sign without (-1)^p, a
     # middle term counted twice, and the lattice kernel's shift.
-    Mutant("line-partner-sign", _SUMS, "flip = 1 if (count + c + p) % 2 else -1",
+    Mutant("line-partner-sign", _SUMS, "flip = 1 if (count + c + odd) % 2 else -1",
            "flip = 1 if (count + c) % 2 else -1", (_T_SUMS + "test_dc_sum_property",)),
     Mutant("gen-dedekind-partner-sign", _SUMS, "sign = -1 if p % 2 else 1", "sign = 1",
            (_T_SUMS + "test_gen_dedekind_sum_property",)),
-    Mutant("lattice-partner-sign", _SUMS, "if (h + k + p) % 2 else (-m, 1)",
+    Mutant("lattice-partner-sign", _SUMS, "if (h + k + odd) % 2 else (-m, 1)",
            "if (h + k) % 2 else (-m, 1)", (_T_SUMS + "test_theorem8_rhs_property",)),
-    Mutant("line-middle-twice", _SUMS, "for j in range(1, (count + 1) // 2):",
-           "for j in range(1, count // 2 + 1):", (_T_SUMS + "test_dc_sum_property",)),
+    Mutant("line-middle-twice", _SUMS, "half = (count + 1) // 2", "half = count // 2 + 1",
+           (_T_SUMS + "test_dc_sum_property",)),
     Mutant("gen-dedekind-middle-twice", _SUMS, "range(1, (k + 1) // 2)", "range(1, k // 2 + 1)",
            (_T_SUMS + "test_gen_dedekind_sum_property",)),
     Mutant("lattice-shift-sign", _UMBRAL, "k * (h - j)", "k * (h + j)",
            (_T_UMBRAL + "test_lattice_power_sum_matches_term_by_term_oracle",)),
+    # The moment vectors a sweep keeps, and the blocks made outside one.
+    Mutant("moments-key-without-parity", _MOMENTS, "key = (points, *args)",
+           "key = (points, *args[:-1])", (_SCOPE,)),
+    Mutant("moments-short-vector-served", _MOMENTS, "if len(vector) > degree:", "if vector:",
+           (_SCOPE,)),
+    Mutant("moments-reach-drops-p", _MOMENTS, "max(p, kept[1])", "kept[1]", (_SCOPE,)),
+    Mutant("block-edge-drops-a-point", _MOMENTS, "range(lo, min(lo + _BLOCK, stop))",
+           "range(lo, min(lo + _BLOCK - 1, stop))",
+           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
+    Mutant("line-block-repeated", _SUMS, "            yield ws, xs\n            ws, xs = [], []\n",
+           "            yield ws, xs\n",
+           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
+    Mutant("inside-block-sign", _SUMS, "alternate[(u + lo) % 2:(u + lo) % 2 + hi - lo]",
+           "alternate[(u + 1) % 2:(u + 1) % 2 + hi - lo]",
+           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
+    Mutant("inside-piece-repeated", _SUMS,
+           "                yield signs, ys\n                signs, ys = [], []\n",
+           "                yield signs, ys\n",
+           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
+    Mutant("scope-reset-not-in-finally", _MOMENTS,
+           "    try:\n        yield\n    finally:\n        _KEPT.reset(token)\n",
+           "    yield\n    _KEPT.reset(token)\n",
+           (_T_AUDIT + "test_kernels_see_the_sweeps_table_only_while_it_runs",)),
     # Preconditions.
     Mutant("umbral-duplicate-ids", _UMBRAL, "if len(set(ids)) != len(ids):", "if False:",
            (_T_UMBRAL + "test_duplicate_umbra_ids_rejected",)),

@@ -6,6 +6,9 @@ import inspect
 import json
 import random
 import re
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -30,6 +33,7 @@ from dcsums import (
     standard_audit_grid,
     sweep,
 )
+from dcsums import moments
 
 import oracles
 
@@ -693,6 +697,72 @@ def test_sweep_rejects_non_integer_grid_values():
         for ids, grid in grids:
             with pytest.raises(TypeError):
                 sweep(ids, grid)
+
+
+def test_kernels_see_the_sweeps_table_only_while_it_runs(monkeypatch):
+    seen = []
+    thm9 = get_check("thm9")
+
+    def rhs_that_fails(p, h, k):
+        seen.append(moments._KEPT.get())
+        if len(seen) == 3:
+            raise RuntimeError("a side failed mid-sweep")
+        return thm9.rhs(p, h, k)
+
+    grid = _odd_hk((3,), 5)
+    sweep(["thm8_periodic", "thm9"], grid)
+    assert moments._KEPT.get() is None
+    monkeypatch.setitem(audit.REGISTRY, "thm9", dataclasses.replace(thm9, rhs=rhs_that_fails))
+    with pytest.raises(RuntimeError, match="mid-sweep"):
+        sweep(["thm9"], grid)
+    assert len(seen) == 3 and all(type(table) is dict and top == 3 for table, top in seen)
+    assert moments._KEPT.get() is None
+
+
+def test_concurrent_sweeps_give_the_reports_of_sequential_ones():
+    # Four threads, two per grid, switching often: each sweep gives the
+    # sequential report while the others fill and drop their own tables.
+    hk = tuple(range(1, 18))
+    stretch = ParamGrid(p_values=(3, 5, 7, 9), h_values=hk, k_values=hk, odd_only=True,
+                        coprime_only=True)
+    jobs = [(["thm8_periodic"], stretch), (registry_ids(), standard_audit_grid())] * 2
+    expected = [sweep(*job) for job in jobs]
+    reports = [[] for _ in jobs]
+
+    def run(i):
+        for _ in range(3):
+            reports[i].append(sweep(*jobs[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [[report] * 3 for report in expected]
+
+
+def test_a_sweep_keeps_moment_vectors_not_points():
+    # Two lattices of about 22 500 points each, p = 3 and 9 of both forms:
+    # what a sweep keeps for a point set is its vector, so the peak stays
+    # near the one piece a walk holds however large the lattice.  Keeping
+    # the points themselves until the sweep returns read 3.1 MB here.
+    grid = ParamGrid(p_values=(3, 9), h_values=(149, 151), k_values=(149, 151),
+                     odd_only=True, coprime_only=True)
+    ids = ["thm8_periodic", "thm8_poly"]
+    sweep(ids, grid)  # the Euler polynomials' caches
+    tracemalloc.start()
+    try:
+        sweep(ids, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sweep_evaluates_each_mirror_pair_once_per_call(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +17,9 @@ from dcsums import (
     lattice_partition,
     theorem8_rhs,
 )
+from dcsums import moments
+from dcsums.moments import _kept_in
+from dcsums.umbral import lattice_power_sum
 
 import oracles
 
@@ -272,3 +277,62 @@ def test_lattice_partition_complete_residue_system():
 def test_lattice_partition_requires_coprime_arguments():
     with pytest.raises(ValueError):
         lattice_partition(2, 4)
+
+
+# --- moment vectors, kept inside a sweep's scope -------------------------------
+
+def _weight(c):
+    """Weights made here share one code object, whatever c."""
+    return lambda u, j: (u + c * j) % 3 - 1
+
+
+def _lattice_oracle(p, h, k, weight):
+    return sum((weight(u, h * u // k) * oracles.upow2(k * h, Fraction(u, k), k, h - h * u // k, p)
+                for u in range(k)), Fraction(0))
+
+
+def _check_kernels(ps, pairs, weights):
+    for p in ps:
+        for h, k in pairs:
+            assert dc_sum(p, h, k) == oracles.dc(p, h, k), (p, h, k)
+            for periodic in (True, False):
+                assert theorem8_rhs(p, h, k, periodic) == oracles.t8_rhs(p, h, k, periodic), (
+                    p, h, k, periodic)
+            for weight in weights:
+                assert Fraction(*lattice_power_sum(p, h, k, weight)) == _lattice_oracle(
+                    p, h, k, weight), (p, h, k)
+
+
+def test_kernels_inside_one_scope_match_the_oracles():
+    # One table per scope, as in a sweep, with p % 2 changing at every step.
+    # At top 9 the first walk of each point set serves every p; at top 0
+    # each higher p walks again and keeps the longer vector, which the way
+    # back reads at lower degrees.  The two weights share one code object.
+    for top in (9, 0):
+        table = {}
+        with _kept_in(table, top):
+            _check_kernels([*range(1, 10), *range(9, 0, -1)], ((5, 7), (7, 5), (6, 9), (4, 6)),
+                           (_weight(1), _weight(2)))
+        assert table and moments._KEPT.get() is None
+
+
+def test_block_edges_neither_drop_nor_repeat_a_point(monkeypatch):
+    monkeypatch.setattr(moments, "_BLOCK", 3)
+    for scope in (nullcontext(), _kept_in({}, 3)):
+        with scope:
+            _check_kernels((2, 3), ((5, 23), (6, 9)), (_weight(1),))
+
+
+def test_kernels_outside_a_sweep_hold_bounded_memory():
+    # The points are made and summed in blocks, never listed whole; at
+    # (2, 40001) a lattice row alone holds 20 000 points.
+    for call in (lambda: dc_sum(3, 1, 40001), lambda: theorem8_rhs(5, 201, 199),
+                 lambda: theorem8_rhs(3, 2, 40001, periodic=False)):
+        call()  # the Euler polynomials' caches
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
