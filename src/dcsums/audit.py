@@ -469,20 +469,21 @@ def run_check(check_id: str, params: Mapping[str, int]) -> CheckResult:
 def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     """Evaluate every (id, tuple) over the grid into a deterministic report.
 
-    Checks run in id order over ``iter_params``'s ordered walk, so results
-    come out sorted by (id, params); each check's pass/fail/skip tally is
-    taken as it is walked, and the summary keeps the caller's id order.  A
+    Checks run in id order.  Results come out in ``iter_params``'s walk, so
+    they are sorted by (id, params); each check's pass/fail/skip tally is
+    taken over its block, and the summary keeps the caller's id order.  A
     repeated id raises ValueError: it would double its tuples and tallies.
 
     One side table, local to the call, evaluates each distinct side value
     once: a side function that several checks share, at the same params,
-    and a side named in ``hk_symmetric`` at the (h, k) mirror of an earlier
+    and a side named in ``hk_symmetric`` at the (h, k) mirror of another
     tuple.  Such a side keeps every value it computes until the call
     returns, and nothing is kept between sweeps; every result equals what
     ``run_check`` gives.  For the length of the call the kernels keep their
-    moment vectors in the same table (``moments._kept_in``), each taken on
-    its first walk as far as the grid's largest p needs, so the DC lines
-    and lattices of one (h, k) are walked once for every p of the grid.
+    moment vectors in the same table (``moments._kept_in``).  A check is
+    evaluated from the last tuple of its walk to the first: p leads the
+    params of every check that reaches a moment kernel, so the first walk
+    of a point set is at its largest p and serves every smaller one.
     """
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate check ids in {list(ids)}")
@@ -491,7 +492,7 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
     table: dict = {}  # side -> {params: value}, and the kernels' moment vectors
     results: list[CheckResult] = []
     summary: dict[str, dict[str, int]] = dict.fromkeys(ids)
-    with _kept_in(table, max(grid.p_values, default=0)):
+    with _kept_in(table):
         for check in walk:
             lhs, rhs = (
                 _tabled(check, name, table.setdefault(side, {}))
@@ -499,7 +500,7 @@ def sweep(ids: Sequence[str], grid: ParamGrid) -> AuditReport:
                 for name, side in (("lhs", check.lhs), ("rhs", check.rhs))
             )
             block = [_evaluate(check, values, lhs, rhs)
-                     for values in grid._walk(check.param_names)]
+                     for values in [*grid._walk(check.param_names)][::-1]][::-1]
             held, skip = sum([r.holds for r in block]), sum([r.skipped for r in block])
             summary[check.id] = {"pass": held, "fail": len(block) - held - skip, "skip": skip}
             results += block

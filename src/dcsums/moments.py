@@ -11,12 +11,13 @@ A kernel hands ``_moments`` a generator function and its arguments, which
 together make the point set and its key.  The generator yields pieces
 (ws, xs), weights and points, of at most 2 ``_BLOCK`` points each, and
 ``_moments`` sums each piece and drops it, so a call holds one piece at a
-time.  Inside ``_kept_in``, which ``sweep`` enters with its side table and
-its largest p, a kernel asks for the moments that largest p needs
-(``_reach``), and the vector alone is kept in that table under the key: a
-sweep walks each point set once, whatever the order of its p.  The scope
-is a ``ContextVar``, set on entry and reset in ``finally``: each thread
-sees its own sweep's table, and none after its sweep returns."""
+time.  A kernel asks for the degree its own p needs.  Inside ``_kept_in``,
+which ``sweep`` enters with its side table, the vector alone is kept in
+that table under the key, and serves every later call that needs no
+higher degree; ``sweep`` asks for each check's largest p first, so it
+walks each point set once.  The scope is a ``ContextVar``, set on entry
+and reset in ``finally``: each thread sees its own sweep's table, and
+none after its sweep returns."""
 
 from __future__ import annotations
 
@@ -25,26 +26,20 @@ from contextvars import ContextVar
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
-# The side table and the largest p of the running ``sweep``, if any; and
-# the length at which the point generators cut their lines and rows.
-_KEPT: ContextVar[tuple[dict, int] | None] = ContextVar("_KEPT", default=None)
+# The side table of the running ``sweep``, if any; and the length at which
+# the point generators cut their lines and rows.
+_KEPT: ContextVar[dict | None] = ContextVar("_KEPT", default=None)
 _BLOCK = 512
 
 
 @contextmanager
-def _kept_in(table: dict, top: int) -> Iterator[None]:
-    """Keep the kernels' moment vectors, each as far as p = ``top`` needs, in ``table``."""
-    token = _KEPT.set((table, top))
+def _kept_in(table: dict) -> Iterator[None]:
+    """Keep the kernels' moment vectors in ``table``."""
+    token = _KEPT.set(table)
     try:
         yield
     finally:
         _KEPT.reset(token)
-
-
-def _reach(p: int) -> int:
-    """The p a kernel takes its moments for: p, or inside ``_kept_in`` its ``top`` if larger."""
-    kept = _KEPT.get()
-    return p if kept is None else max(p, kept[1])
 
 
 def _blocks(start: int, stop: int) -> Iterator[range]:
@@ -58,12 +53,12 @@ def _moments(degree: int, points: Callable[..., Iterable[tuple]], *args: object)
 
     Inside ``_kept_in`` the vector is kept under the key (points, *args),
     and a later call that needs no higher degree gets it back, longer
-    than it asked for.
+    than it asked for; one that needs more walks again and keeps its own.
     """
     kept = _KEPT.get()
     if kept is not None:
         key = (points, *args)
-        vector = kept[0].get(key, ())
+        vector = kept.get(key, ())
         if len(vector) > degree:
             return vector
     vector = [0] * (degree + 1)
@@ -73,11 +68,11 @@ def _moments(degree: int, points: Callable[..., Iterable[tuple]], *args: object)
             ws = list(map(mul, ws, xs))
             vector[i] += sum(ws)
     if kept is not None:
-        kept[0][key] = vector
+        kept[key] = vector
     return vector
 
 
 def _dot(p: int, b: tuple[int, ...], points: Callable[..., Iterable[tuple]], *args: object
          ) -> int:
     """sum w Q(x) over the points, with b the Horner vector of E_p's Q (``Poly.centered``)."""
-    return sum(map(mul, reversed(b), _moments(_reach(p) // 2, points, *args)))
+    return sum(map(mul, reversed(b), _moments(p // 2, points, *args)))

@@ -64,7 +64,7 @@ from typing import Iterator
 
 from .appell import _horner, bernoulli_poly, euler_poly
 from . import moments
-from .moments import _blocks, _dot, _moments, _reach
+from .moments import _blocks, _dot, _moments
 from .rationals import Rational
 
 __all__ = ["dedekind_sum", "gen_dedekind_sum", "dc_sum", "alt_power_sum", "theorem8_rhs",
@@ -272,7 +272,7 @@ def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:
         signs = sum([(-1) ** ((h + t * (k - h) // g) % 2) for t in range(1, g)])
         total += signs * m * (-m if odd else 1) * _horner(b, m * m)
     if not periodic:  # 2D (2m - n) (2m - 2n)^p = D (2m + z) z^p
-        lift = _moments(_reach(p), _lift_points, h, k)[p]
+        lift = _moments(p, _lift_points, h, k)[p]
         total += (-1 if (h + k) % 2 else 1) * poly.den * lift
     return Fraction(2 * total, poly.den * m << p)
 

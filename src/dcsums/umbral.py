@@ -39,7 +39,7 @@ from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .appell import _euler_ints, _horner, euler_poly
-from .moments import _blocks, _moments, _reach
+from .moments import _blocks, _moments
 from .rationals import Rational, exact
 
 __all__ = ["umbral_power", "theorem9_rhs"]
@@ -146,7 +146,7 @@ def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int])
     Inside a sweep the moments are kept per weight function, so a weight
     must be one object for as long as it means one function of (u, j).
     """
-    sums = _moments(_reach(p), _shift_points, h, k, weight)
+    sums = _moments(p, _shift_points, h, k, weight)
     mixed = _euler_euler(p, k * h, k)
     return sum([comb(p, j) * mixed[j] * sums[p - j] << (p - j) for j in range(p + 1)]), 1 << p
 

@@ -74,6 +74,10 @@ MUTANTS = (
     Mutant("mirror-key-not-canonical", _AUDIT,
            "key = mirror(values) if values[h] > values[k] else values", "key = values",
            (_T_AUDIT + "test_sweep_evaluates_each_mirror_pair_once_per_call",)),
+    Mutant("sweep-walks-ascending", _AUDIT,
+           "for values in [*grid._walk(check.param_names)][::-1]][::-1]",
+           "for values in grid._walk(check.param_names)]",
+           (_T_AUDIT + "test_a_sweep_walks_each_point_set_once_and_no_deeper_than_it_needs",)),
     Mutant("hk-symmetric-not-tabled", _AUDIT,
            "if uses[side] > 1 or name in check.hk_symmetric else side",
            "if uses[side] > 1 else side",
@@ -171,7 +175,6 @@ MUTANTS = (
            "key = (points, *args[:-1])", (_SCOPE,)),
     Mutant("moments-short-vector-served", _MOMENTS, "if len(vector) > degree:", "if vector:",
            (_SCOPE,)),
-    Mutant("moments-reach-drops-p", _MOMENTS, "max(p, kept[1])", "kept[1]", (_SCOPE,)),
     Mutant("block-edge-drops-a-point", _MOMENTS, "range(lo, min(lo + _BLOCK, stop))",
            "range(lo, min(lo + _BLOCK - 1, stop))",
            (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),

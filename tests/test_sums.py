@@ -305,22 +305,24 @@ def _check_kernels(ps, pairs, weights):
 
 def test_kernels_inside_one_scope_match_the_oracles():
     # One table per scope, as in a sweep, with p % 2 changing at every step.
-    # At top 9 the first walk of each point set serves every p; at top 0
-    # each higher p walks again and keeps the longer vector, which the way
-    # back reads at lower degrees.  The two weights share one code object.
-    for top in (9, 0):
+    # p up, then down: each higher p walks again and keeps the longer
+    # vector, which the way back reads at lower degrees.  p down, then up:
+    # the first walk of each point set serves every p after it.  The two
+    # weights share one code object.
+    up = tuple(range(1, 10))
+    for ps in (up + up[::-1], up[::-1] + up):
         table = {}
-        with _kept_in(table, top):
-            _check_kernels([*range(1, 10), *range(9, 0, -1)], ((5, 7), (7, 5), (6, 9), (4, 6)),
-                           (_weight(1), _weight(2)))
+        with _kept_in(table):
+            _check_kernels(ps, ((5, 7), (7, 5), (6, 9), (4, 6)), (_weight(1), _weight(2)))
         assert table and moments._KEPT.get() is None
 
 
 def test_block_edges_neither_drop_nor_repeat_a_point(monkeypatch):
     monkeypatch.setattr(moments, "_BLOCK", 3)
-    for scope in (nullcontext(), _kept_in({}, 3)):
+    for scope, ps in ((nullcontext(), (2, 3)), (_kept_in({}), (2, 3, 2)),
+                      (_kept_in({}), (3, 2, 3))):
         with scope:
-            _check_kernels((2, 3), ((5, 23), (6, 9)), (_weight(1),))
+            _check_kernels(ps, ((5, 23), (6, 9)), (_weight(1),))
 
 
 def test_kernels_outside_a_sweep_hold_bounded_memory():
