@@ -7,27 +7,29 @@ do not depend on P, one moment vector serves every P: the DC-sum kernels
 of ``sums`` read E_p for every p of one parity from the moments of one
 point set, and ``umbral.lattice_power_sum`` reads every p from one.
 
-A kernel hands ``_moments`` a generator function and its arguments, which
-together make the point set and its key.  The generator yields pieces
-(ws, xs), weights and points, of at most 2 ``_BLOCK`` points each, and
-``_moments`` sums each piece and drops it, so a call holds one piece at a
-time.  A kernel asks for the degree its own p needs.  Inside ``_kept_in``,
-which ``sweep`` enters with its side table, the vector alone is kept in
-that table under the key, and serves every later call that needs no
-higher degree; ``sweep`` asks for each check's largest p first, so it
-walks each point set once.  The scope is a ``ContextVar``, set on entry
-and reset in ``finally``: each thread sees its own sweep's table, and
-none after its sweep returns."""
+A kernel hands ``_moments`` a point walker, a generator function, and its
+arguments, which together make the point set and its key.  The walker
+yields one pair (w, x), a weight and a point, per point, and knows
+nothing of pieces: ``_moments`` alone cuts the stream into pieces of
+``_BLOCK`` points, sums each piece and drops it, so a call holds one
+piece at a time.  A kernel asks for the degree its own p needs.  Inside
+``_kept_in``, which ``sweep`` enters with its side table, the vector
+alone is kept in that table under the key, and serves every later call
+that needs no higher degree; ``sweep`` asks for each check's largest p
+first, so it walks each point set once.  The scope is a ``ContextVar``,
+set on entry and reset in ``finally``: each thread sees its own sweep's
+table, and none after its sweep returns."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import islice
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-# The side table of the running ``sweep``, if any; and the length at which
-# the point generators cut their lines and rows.
+# The side table of the running ``sweep``, if any; and the length of the
+# pieces ``_moments`` cuts a point stream into.
 _KEPT: ContextVar[dict | None] = ContextVar("_KEPT", default=None)
 _BLOCK = 512
 
@@ -42,18 +44,14 @@ def _kept_in(table: dict) -> Iterator[None]:
         _KEPT.reset(token)
 
 
-def _blocks(start: int, stop: int) -> Iterator[range]:
-    """range(start, stop) in consecutive pieces of at most ``_BLOCK``."""
-    for lo in range(start, stop, _BLOCK):
-        yield range(lo, min(lo + _BLOCK, stop))
+def _moments(degree: int, points: Callable[..., Iterator[tuple[int, int]]], *args: object
+             ) -> list[int]:
+    """M_0..M_degree, M_i = sum w x^i over the pairs (w, x) of ``points(*args)``.
 
-
-def _moments(degree: int, points: Callable[..., Iterable[tuple]], *args: object) -> list[int]:
-    """M_0..M_degree, M_i = sum w x^i over the pieces (ws, xs) of ``points(*args)``.
-
-    Inside ``_kept_in`` the vector is kept under the key (points, *args),
-    and a later call that needs no higher degree gets it back, longer
-    than it asked for; one that needs more walks again and keeps its own.
+    The pairs are drawn and summed ``_BLOCK`` at a time.  Inside
+    ``_kept_in`` the vector is kept under the key (points, *args), and a
+    later call that needs no higher degree gets it back, longer than it
+    asked for; one that needs more walks again and keeps its own.
     """
     kept = _KEPT.get()
     if kept is not None:
@@ -62,7 +60,9 @@ def _moments(degree: int, points: Callable[..., Iterable[tuple]], *args: object)
         if len(vector) > degree:
             return vector
     vector = [0] * (degree + 1)
-    for ws, xs in points(*args):
+    pairs = points(*args)
+    while piece := list(islice(pairs, _BLOCK)):
+        ws, xs = zip(*piece)
         vector[0] += sum(ws)
         for i in range(1, degree + 1):
             ws = list(map(mul, ws, xs))
@@ -72,7 +72,7 @@ def _moments(degree: int, points: Callable[..., Iterable[tuple]], *args: object)
     return vector
 
 
-def _dot(p: int, b: tuple[int, ...], points: Callable[..., Iterable[tuple]], *args: object
-         ) -> int:
+def _dot(p: int, b: tuple[int, ...], points: Callable[..., Iterator[tuple[int, int]]],
+         *args: object) -> int:
     """sum w Q(x) over the points, with b the Horner vector of E_p's Q (``Poly.centered``)."""
     return sum(map(mul, reversed(b), _moments(p // 2, points, *args)))

@@ -57,14 +57,12 @@ hypotheses are enforced by the audit registry, not here.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, cycle
 from math import gcd
-from operator import mul
 from typing import Iterator
 
 from .appell import _horner, bernoulli_poly, euler_poly
-from . import moments
-from .moments import _blocks, _dot, _moments
+from .moments import _dot, _moments
 from .rationals import Rational
 
 __all__ = ["dedekind_sum", "gen_dedekind_sum", "dc_sum", "alt_power_sum", "theorem8_rhs",
@@ -112,41 +110,30 @@ def gen_dedekind_sum(p: int, h: int, k: int) -> Rational:
 
 
 def _line_points(step: int, modulus: int, count: int, odd: int, scale: int = 1
-                 ) -> Iterator[tuple]:
-    """The points of the line sum_{j=1}^{count-1} (-1)^(j+q-1) j P(r).
+                 ) -> Iterator[tuple[int, int]]:
+    """The points (w, x) of the line sum_{j=1}^{count-1} (-1)^(j+q-1) j P(r).
 
     Here q, r = divmod(j step, modulus), P is E_p centred on the modulus,
     odd = p % 2, and count step is a multiple of the modulus.  With
     y = 2r - modulus, P(r) = y^odd Q(y^2), so a reflection pair is the
-    point x = y^2 with weight +-(j + flip (count - j)) y^odd, times ``scale``.
-    A piece holds at most ``_BLOCK`` pairs; the middle term of an even count
-    joins the last one.
+    point x = y^2 with weight +-(j + flip (count - j)) y^odd, times ``scale``;
+    the middle term of an even count comes last.
     """
     c = count * step // modulus
     flip = 1 if (count + c + odd) % 2 else -1
     flip_at_zero = -1 if (count + c) % 2 else 1
-    half = (count + 1) // 2
-    ws: list[int] = []
-    xs: list[int] = []
-    for js in _blocks(1, half):
-        if ws:  # the block before is full
-            yield ws, xs
-            ws, xs = [], []
-        for j in js:
-            q, r = divmod(j * step, modulus)
-            y = 2 * r - modulus
-            w = (j + (flip if r else flip_at_zero) * (count - j)) * scale
-            if odd:
-                w *= y
-            ws.append(w if (j + q) % 2 else -w)
-            xs.append(y * y)
+    for j in range(1, (count + 1) // 2):
+        q, r = divmod(j * step, modulus)
+        y = 2 * r - modulus
+        w = (j + (flip if r else flip_at_zero) * (count - j)) * scale
+        if odd:
+            w *= y
+        yield (w if (j + q) % 2 else -w), y * y
     if count % 2 == 0:  # j = count/2: r = 0 for even c, modulus/2 for odd c
         j, q = count // 2, c // 2
         y = 0 if c % 2 else -modulus
         w = j * scale * y**odd
-        ws.append(w if (j + q) % 2 else -w)
-        xs.append(y * y)
-    yield ws, xs
+        yield (w if (j + q) % 2 else -w), y * y
 
 
 def _dc_line(p: int, h: int, k: int) -> int:
@@ -188,7 +175,7 @@ def alt_power_sum(n: int, l: int) -> Rational:
     return Fraction(2 * total)
 
 
-def _lattice_points(h: int, k: int, odd: int) -> Iterator[tuple]:
+def _lattice_points(h: int, k: int, odd: int) -> Iterator[tuple[int, int]]:
     """The points of ``theorem8_rhs`` on the modulus m = hk: both edges, then the inside.
 
     The points n = m, which only a non-coprime h, k has, are left out.
@@ -198,48 +185,30 @@ def _lattice_points(h: int, k: int, odd: int) -> Iterator[tuple]:
                  _inside_rows(h, k, odd))
 
 
-def _inside(h: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
-    """The inside points n = uh + vk < m, u in [1, k), v >= 1, as pieces (signs, ys).
+def _inside(h: int, k: int) -> Iterator[tuple[int, int]]:
+    """The inside points n = uh + vk < m, u in [1, k), v >= 1, as pairs (sign, y).
 
-    Here signs holds (-1)^(u+v-1) and ys holds y = 2n - m.  A row u is cut
-    at ``_BLOCK`` points and the short rows are joined, so a piece holds
-    ``_BLOCK`` to 2 ``_BLOCK`` points, the last one fewer.
+    Here sign = (-1)^(u+v-1) and y = 2n - m.  Row u starts at v = 1 with
+    sign (-1)^u and ends before v = h - floor(uh/k), where y = m + 2 (uh mod k).
     """
     m = h * k
-    block = moments._BLOCK  # read per call, as ``_blocks`` reads it
-    alternate = [-1, 1] * (block // 2 + 1)
-    signs: list[int] = []
-    ys: list[int] = []
-    for u in range(1, k):
-        y0 = 2 * u * h - m  # y at v = 0
-        top = h - u * h // k  # v < top
-        for lo in range(1, top, block):
-            hi = min(lo + block, top)
-            signs += alternate[(u + lo) % 2:(u + lo) % 2 + hi - lo]
-            ys += range(y0 + 2 * k * lo, y0 + 2 * k * hi, 2 * k)
-            if len(ys) >= block:
-                yield signs, ys
-                signs, ys = [], []
-    yield signs, ys
+    return chain.from_iterable(zip(cycle((-1, 1) if u % 2 else (1, -1)),
+                                   range(2 * (u * h + k) - m, m + 2 * (u * h % k), 2 * k))
+                               for u in range(1, k))
 
 
-def _inside_rows(h: int, k: int, odd: int) -> Iterator[tuple]:
-    """The weights and x = y^2 of the inside points, piece by piece."""
+def _inside_rows(h: int, k: int, odd: int) -> Iterator[tuple[int, int]]:
+    """The inside points (w, x), x = y^2, weighted sign (pair weight) y^odd."""
     m = h * k
     # The pair weight n + flip (2m - n), at n = (y + m)/2: 2m, or y - m.
     a, c = (2 * m, 0) if (h + k + odd) % 2 else (-m, 1)
-    for signs, ys in _inside(h, k):
-        ws = [a + c * y for y in ys]
-        if odd:
-            ws = list(map(mul, ws, ys))
-        yield list(map(mul, ws, signs)), list(map(mul, ys, ys))
+    return ((s * (a + c * y) * (y if odd else 1), y * y) for s, y in _inside(h, k))
 
 
-def _lift_points(h: int, k: int) -> Iterator[tuple]:
+def _lift_points(h: int, k: int) -> Iterator[tuple[int, int]]:
     """The points z = m - y = 2(m - n) of the inside, weighted +-(2m + z) with the signs there."""
     m = h * k
-    return (([s * (3 * m - y) for s, y in zip(signs, ys)], [m - y for y in ys])
-            for signs, ys in _inside(h, k))
+    return ((s * (3 * m - y), m - y) for s, y in _inside(h, k))
 
 
 def theorem8_rhs(p: int, h: int, k: int, periodic: bool = True) -> Rational:

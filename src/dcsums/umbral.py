@@ -39,7 +39,7 @@ from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .appell import _euler_ints, _horner, euler_poly
-from .moments import _blocks, _moments
+from .moments import _moments
 from .rationals import Rational, exact
 
 __all__ = ["umbral_power", "theorem9_rhs"]
@@ -128,16 +128,13 @@ def _shifted_euler_power(p: int, x: int) -> Pair:
     return total, 1 << p
 
 
-def _shift_points(h: int, k: int, weight: Callable[[int, int], int]) -> Iterator[tuple]:
+def _shift_points(h: int, k: int, weight: Callable[[int, int], int]
+                  ) -> Iterator[tuple[int, int]]:
     """The points z_u = hu + k(h - j), weighted weight(u, j), j = floor(hu/k), u in [0, k)."""
-    for us in _blocks(0, k):
-        ws, zs = [], []
-        for u in us:
-            j = h * u // k
-            if w := weight(u, j):
-                ws.append(w)
-                zs.append(h * u + k * (h - j))
-        yield ws, zs
+    for u in range(k):
+        j = h * u // k
+        if w := weight(u, j):
+            yield w, h * u + k * (h - j)
 
 
 def lattice_power_sum(p: int, h: int, k: int, weight: Callable[[int, int], int]) -> Pair:

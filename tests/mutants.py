@@ -57,6 +57,7 @@ _ORDER = (_T_AUDIT + "test_report_from_json_rejects_entries_out_of_sweep_order",
 _TYPES = (_T_AUDIT + "test_report_from_json_takes_only_the_json_types_sweep_writes",)
 _TEXT = (_T_CLI + "test_audit_text_format",)
 _SCOPE = _T_SUMS + "test_kernels_inside_one_scope_match_the_oracles"
+_EDGES = (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)
 EQUIVALENT_AS_ROOT = "equivalent as root"
 
 MUTANTS = (
@@ -134,10 +135,9 @@ MUTANTS = (
            ("tests/test_appell.py::test_centered_rejects_a_polynomial_without_the_reflection",)),
     Mutant("line-centre-sign", _SUMS, "y = 2 * r - modulus", "y = 2 * r + modulus",
            (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
-    Mutant("line-odd-factor", _SUMS, "            if odd:\n                w *= y\n", "",
+    Mutant("line-odd-factor", _SUMS, "        if odd:\n            w *= y\n", "",
            (_T_SUMS + "test_dc_sum_allows_non_coprime_arguments",)),
-    Mutant("lattice-odd-factor", _SUMS,
-           "        if odd:\n            ws = list(map(mul, ws, ys))\n", "",
+    Mutant("lattice-odd-factor", _SUMS, " * (y if odd else 1)", "",
            (_T_SUMS + "test_theorem8_rhs_matches_direct_oracle",)),
     Mutant("dc-sum-scale", _SUMS, "euler_poly(p).den * k ** (p + 1) << p)",
            "euler_poly(p).den * k ** (p + 1))", (_T_SUMS + "test_dc_sum_golden_values",)),
@@ -164,30 +164,26 @@ MUTANTS = (
            (_T_SUMS + "test_gen_dedekind_sum_property",)),
     Mutant("lattice-partner-sign", _SUMS, "if (h + k + odd) % 2 else (-m, 1)",
            "if (h + k) % 2 else (-m, 1)", (_T_SUMS + "test_theorem8_rhs_property",)),
-    Mutant("line-middle-twice", _SUMS, "half = (count + 1) // 2", "half = count // 2 + 1",
+    Mutant("line-middle-twice", _SUMS, "range(1, (count + 1) // 2)", "range(1, count // 2 + 1)",
            (_T_SUMS + "test_dc_sum_property",)),
     Mutant("gen-dedekind-middle-twice", _SUMS, "range(1, (k + 1) // 2)", "range(1, k // 2 + 1)",
            (_T_SUMS + "test_gen_dedekind_sum_property",)),
     Mutant("lattice-shift-sign", _UMBRAL, "k * (h - j)", "k * (h + j)",
            (_T_UMBRAL + "test_lattice_power_sum_matches_term_by_term_oracle",)),
-    # The moment vectors a sweep keeps, and the blocks made outside one.
+    # The moment vectors a sweep keeps, and the one block rule: ``_moments``
+    # cuts each point stream into pieces of ``_BLOCK``.
     Mutant("moments-key-without-parity", _MOMENTS, "key = (points, *args)",
            "key = (points, *args[:-1])", (_SCOPE,)),
     Mutant("moments-short-vector-served", _MOMENTS, "if len(vector) > degree:", "if vector:",
            (_SCOPE,)),
-    Mutant("block-edge-drops-a-point", _MOMENTS, "range(lo, min(lo + _BLOCK, stop))",
-           "range(lo, min(lo + _BLOCK - 1, stop))",
-           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
-    Mutant("line-block-repeated", _SUMS, "            yield ws, xs\n            ws, xs = [], []\n",
-           "            yield ws, xs\n",
-           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
-    Mutant("inside-block-sign", _SUMS, "alternate[(u + lo) % 2:(u + lo) % 2 + hi - lo]",
-           "alternate[(u + 1) % 2:(u + 1) % 2 + hi - lo]",
-           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
-    Mutant("inside-piece-repeated", _SUMS,
-           "                yield signs, ys\n                signs, ys = [], []\n",
-           "                yield signs, ys\n",
-           (_T_SUMS + "test_block_edges_neither_drop_nor_repeat_a_point",)),
+    Mutant("piece-drops-its-last-point", _MOMENTS, "zip(*piece)", "zip(*piece[:_BLOCK - 1])",
+           _EDGES),
+    Mutant("piece-summed-twice", _MOMENTS, "zip(*piece)",
+           "zip(*piece * (len(piece) // _BLOCK + 1))", _EDGES),
+    Mutant("last-piece-dropped", _MOMENTS, "while piece := list(islice(pairs, _BLOCK)):",
+           "while len(piece := list(islice(pairs, _BLOCK))) == _BLOCK:", _EDGES),
+    Mutant("inside-row-first-sign", _SUMS, "cycle((-1, 1) if u % 2 else (1, -1))",
+           "cycle((1, -1) if u % 2 else (-1, 1))", _EDGES),
     Mutant("scope-reset-not-in-finally", _MOMENTS,
            "    try:\n        yield\n    finally:\n        _KEPT.reset(token)\n",
            "    yield\n    _KEPT.reset(token)\n",

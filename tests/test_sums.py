@@ -16,6 +16,7 @@ from dcsums import (
     gen_dedekind_sum,
     lattice_partition,
     theorem8_rhs,
+    theorem9_rhs,
 )
 from dcsums import moments
 from dcsums.moments import _kept_in
@@ -286,6 +287,11 @@ def _weight(c):
     return lambda u, j: (u + c * j) % 3 - 1
 
 
+def _nothing(u, j):
+    """A weight that leaves the shift lattice empty."""
+    return 0
+
+
 def _lattice_oracle(p, h, k, weight):
     return sum((weight(u, h * u // k) * oracles.upow2(k * h, Fraction(u, k), k, h - h * u // k, p)
                 for u in range(k)), Fraction(0))
@@ -317,19 +323,24 @@ def test_kernels_inside_one_scope_match_the_oracles():
         assert table and moments._KEPT.get() is None
 
 
-def test_block_edges_neither_drop_nor_repeat_a_point(monkeypatch):
-    monkeypatch.setattr(moments, "_BLOCK", 3)
+@pytest.mark.parametrize("block", (1, 2, 3))
+def test_block_edges_neither_drop_nor_repeat_a_point(monkeypatch, block):
+    # (1, 1) has an empty line and an empty lattice, and ``_nothing`` an
+    # empty shift lattice; the line of (7, 12) has 6 points and its lattice
+    # 42, so their last piece is full at every block size here.
+    monkeypatch.setattr(moments, "_BLOCK", block)
     for scope, ps in ((nullcontext(), (2, 3)), (_kept_in({}), (2, 3, 2)),
                       (_kept_in({}), (3, 2, 3))):
         with scope:
-            _check_kernels(ps, ((5, 23), (6, 9)), (_weight(1),))
+            _check_kernels(ps, ((5, 23), (6, 9), (7, 12), (1, 1)), (_weight(1), _nothing))
 
 
 def test_kernels_outside_a_sweep_hold_bounded_memory():
     # The points are made and summed in blocks, never listed whole; at
     # (2, 40001) a lattice row alone holds 20 000 points.
     for call in (lambda: dc_sum(3, 1, 40001), lambda: theorem8_rhs(5, 201, 199),
-                 lambda: theorem8_rhs(3, 2, 40001, periodic=False)):
+                 lambda: theorem8_rhs(3, 2, 40001, periodic=False),
+                 lambda: theorem9_rhs(3, 7, 40001)):
         call()  # the Euler polynomials' caches
         tracemalloc.start()
         try:
